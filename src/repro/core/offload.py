@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import typing as _t
 
+from repro.apps import spec_for_app
 from repro.core.job import DataJob, JobResult
 from repro.core.loadbalance import Placement
 from repro.errors import OffloadError
@@ -105,7 +106,7 @@ class OffloadEngine:
         host = self.cluster.host
         cfg = self.cluster.config.phoenix
         inp = self._host_view(job)
-        spec = _spec_for(job)
+        spec = spec_for_app(job.app, job.params)
         t0 = self.sim.now
         if job.mode == "partitioned":
             ext = ExtendedPhoenixRuntime(host, cfg)
@@ -123,9 +124,3 @@ class OffloadEngine:
             output=output,
             offloaded=False,
         )
-
-
-def _spec_for(job: DataJob):
-    from repro.apps import spec_for_app
-
-    return spec_for_app(job.app, job.params)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
+from repro.apps import spec_for_app
 from repro.core.job import JobResult
 from repro.errors import OffloadError
 from repro.sim.events import Event
@@ -114,7 +115,7 @@ class ScatterGatherEngine:
 
         # Gather: merge per-shard outputs with the app's own merge function
         # (the same user code Fig 6 requires), charged to the host CPU.
-        spec = _spec_for_app(job.app, job.params)
+        spec = spec_for_app(job.app, job.params)
         merge_ops = spec.profile.merge_ops(job.total_size)
         if len(shard_results) > 1 and merge_ops > 0:
             yield self.cluster.host.cpu.submit(merge_ops, name=f"{job.app}.gather")
@@ -131,9 +132,3 @@ class ScatterGatherEngine:
             elapsed=self.sim.now - t0,
             shard_results=shard_results,
         )
-
-
-def _spec_for_app(app: str, params: dict):
-    from repro.apps import spec_for_app
-
-    return spec_for_app(app, params)

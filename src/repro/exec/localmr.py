@@ -99,9 +99,6 @@ class LocalJobResult:
     n_fragments: int = 1
     #: bytes spilled to disk (0 for in-memory runs)
     spilled_bytes: int = 0
-    #: how worker results traveled: "shm"/"pickle", or "inline" for
-    #: in-process (serial) runs that never crossed a process boundary
-    transport: str = "inline"
 
 
 class LocalMapReduce:
@@ -133,6 +130,12 @@ class LocalMapReduce:
         self.sort_output = sort_output
         self.delimiters = delimiters
         self.n_workers = n_workers or max(1, os.cpu_count() or 1)
+        # worker results always ride the executor's pipe; the keyword
+        # remains so existing callers passing "auto"/"pickle" keep working
+        if transport not in ("auto", "pickle"):
+            raise WorkloadError(
+                f"unknown transport {transport!r} (expected 'auto' or 'pickle')"
+            )
         self.obs = obs or _DISABLED_OBS
         #: input bytes above which runs go out of core (None: never)
         self.memory_budget = memory_budget
@@ -163,12 +166,10 @@ class LocalMapReduce:
         if isinstance(faults, FaultPlan):
             faults = FaultInjector(faults, obs=self.obs)
         self.faults = faults
-        #: persistent worker pool, created on first parallel run;
-        #: ``transport`` selects the worker→parent result path
-        #: ("auto"/"shm"/"pickle", see :mod:`repro.exec.transport`)
+        #: persistent worker pool, created on first parallel run
         self.pool = WorkerPool(
             self.n_workers, start_method, faults=self.faults, obs=self.obs,
-            transport=transport, blackbox_dir=blackbox_dir,
+            blackbox_dir=blackbox_dir,
         )
         #: chunk-plan cache: (path identity, chunk size, delimiters) ->
         #: plan.  Replanning an unchanged file costs a full boundary scan
@@ -222,7 +223,6 @@ class LocalMapReduce:
         if chunk_bytes < 1:
             raise WorkloadError("chunk_bytes must be >= 1")
         out_of_core = budget is not None and size > budget
-        use_pool = parallel and self.n_workers > 1
         t0 = time.perf_counter()
         with obs.span(
             "localmr.job", cat="localmr", track="localmr",
@@ -283,10 +283,6 @@ class LocalMapReduce:
             mode="outofcore" if out_of_core else "memory",
             n_fragments=n_fragments,
             spilled_bytes=spilled,
-            transport=(
-                self.pool.transport_name
-                if use_pool and len(chunks) > 1 else "inline"
-            ),
         )
 
     # -- internals -------------------------------------------------------------
@@ -385,7 +381,6 @@ class LocalMapReduce:
         with obs.span(
             "localmr.map_pool", cat="localmr", track="localmr",
             chunks=len(chunks), batches=len(batches),
-            transport=self.pool.transport_name if use_pool else "inline",
         ):
             if use_pool:
                 results: _t.Iterable = self.pool.imap_unordered(run_batch, tasks)
@@ -403,7 +398,7 @@ class LocalMapReduce:
                     arrived = pending.pop(next_index)
                     if not merged:
                         # adopt batch 0 outright: it is fresh off the
-                        # transport (or run_batch's own accumulator),
+                        # result pipe (or run_batch's own accumulator),
                         # exclusively ours — no key-by-key fold needed
                         merged = arrived
                     elif combine_fn is not None:

@@ -7,11 +7,9 @@ the paper's three benchmarks, reusable by new applications.
 
 from __future__ import annotations
 
-import typing as _t
-
 from repro.phoenix.sort import sort_by_value_desc
 
-__all__ = ["sum_merge", "concat_merge", "identity_merge", "make_topk_merge"]
+__all__ = ["sum_merge", "concat_merge", "identity_merge"]
 
 
 def sum_merge(outputs: list, params: dict) -> list[tuple[object, object]]:
@@ -41,12 +39,3 @@ def identity_merge(outputs: list, params: dict) -> object:
     if len(outputs) == 1:
         return outputs[0]
     return outputs
-
-
-def make_topk_merge(k: int) -> _t.Callable[[list, dict], list]:
-    """A sum-merge keeping only the top-``k`` keys (an extension hook)."""
-
-    def _merge(outputs: list, params: dict) -> list:
-        return sum_merge(outputs, params)[:k]
-
-    return _merge

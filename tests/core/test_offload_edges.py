@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps import spec_for_app
 from repro.cluster import Testbed
 from repro.core import DataJob, OffloadEngine, Placement
-from repro.core.offload import _spec_for
 from repro.errors import OffloadError
 from repro.units import MB
 from repro.workloads import text_input
@@ -43,13 +43,11 @@ def test_offload_to_unknown_channel_rejected(bed):
 
 def test_spec_for_unknown_app():
     with pytest.raises(OffloadError):
-        _spec_for(DataJob(app="sorting", input_path="/export/x", input_size=1))
+        spec_for_app("sorting", {})
 
 
 def test_spec_for_matmul_uses_n_param():
-    spec = _spec_for(
-        DataJob(app="matmul", input_path="/export/x", input_size=1, params={"n": 256})
-    )
+    spec = spec_for_app("matmul", {"n": 256})
     assert spec.profile.n == 256
 
 

@@ -5,10 +5,14 @@ from __future__ import annotations
 import operator
 from collections import Counter
 
+import pickle
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps.stringmatch import sm_map
 from repro.apps.wordcount import wc_map, wc_reduce
+from repro.errors import WorkloadError
 from repro.exec import LocalMapReduce
 from repro.workloads import keys_for, zipf_corpus
 
@@ -51,6 +55,30 @@ def test_parallel_equals_serial(corpus):
     ser = eng.run(path, parallel=False)
     assert par.output == ser.output
     assert ser.n_workers == 1
+
+
+@given(
+    words=st.lists(
+        st.text(alphabet="abcde", min_size=1, max_size=6),
+        min_size=1, max_size=120,
+    )
+)
+@settings(
+    max_examples=8, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_property_parallel_equals_serial(tmp_path, words):
+    # random corpora: results that crossed the executor's pipe must be
+    # byte-identical to the serial in-process run
+    p = tmp_path / "corpus"
+    p.write_bytes(" ".join(words).encode())
+    with LocalMapReduce(
+        map_fn=wc_map, combine_fn=operator.add, sort_output=True,
+        n_workers=2, start_method="fork",
+    ) as eng:
+        par = eng.run(str(p), chunk_bytes=64)
+        ser = eng.run(str(p), chunk_bytes=64, parallel=False)
+    assert pickle.dumps(par.output) == pickle.dumps(ser.output)
 
 
 def test_chunk_size_invariance(corpus):
@@ -99,6 +127,17 @@ def test_bad_chunk_bytes(corpus):
     path, _ = corpus
     with pytest.raises(Exception):
         wordcount_engine().run(path, chunk_bytes=0)
+
+
+def test_engine_rejects_unknown_transport():
+    # results always ride the executor's pipe: only "auto"/"pickle" name it
+    for transport in ("smoke-signals", "shm"):
+        with pytest.raises(WorkloadError, match="transport"):
+            LocalMapReduce(map_fn=wc_map, n_workers=2, transport=transport)
+    for transport in ("auto", "pickle"):
+        assert LocalMapReduce(
+            map_fn=wc_map, n_workers=2, transport=transport
+        ).pool.transport_name == "pickle"
 
 
 class _CountingKey:

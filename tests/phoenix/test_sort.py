@@ -3,17 +3,15 @@
 from __future__ import annotations
 
 import operator
+import zlib
 
 from repro.phoenix.sort import (
     Combiner,
     decorate_sorted,
-    group_by_key,
-    hash_partition,
     local_merge_maps,
     merge_combiner_maps,
     merge_decorated_runs,
     merge_entry_runs,
-    merge_grouped,
     partition_decorated,
     shuffle_parallel,
     sort_by_value_desc,
@@ -74,46 +72,6 @@ def test_combiner_pairs_deterministic_order():
     assert [k for k, _ in c.pairs()] == sorted(["z", "a", "m"], key=repr)
 
 
-def test_hash_partition_covers_all_pairs():
-    pairs = [(f"k{i}", i) for i in range(100)]
-    buckets = hash_partition(pairs, 4)
-    assert len(buckets) == 4
-    flat = [kv for b in buckets for kv in b]
-    assert sorted(flat) == sorted(pairs)
-
-
-def test_hash_partition_deterministic():
-    pairs = [(f"k{i}", i) for i in range(50)]
-    b1 = hash_partition(pairs, 8)
-    b2 = hash_partition(pairs, 8)
-    assert b1 == b2
-
-
-def test_hash_partition_same_key_same_bucket():
-    pairs = [("hot", i) for i in range(10)]
-    buckets = hash_partition(pairs, 4)
-    non_empty = [b for b in buckets if b]
-    assert len(non_empty) == 1
-    assert len(non_empty[0]) == 10
-
-
-def test_group_by_key_sorts_and_groups():
-    pairs = [("b", 1), ("a", 2), ("b", 3)]
-    grouped = group_by_key(pairs)
-    assert grouped == [("a", [2]), ("b", [1, 3])]
-
-
-def test_group_by_key_with_list_values():
-    pairs = [("a", [1, 2]), ("a", [3])]
-    grouped = group_by_key(pairs, values_are_lists=True)
-    assert grouped == [("a", [1, 2, 3])]
-
-
-def test_merge_grouped():
-    parts = [[("b", 2)], [("a", 1)], [("c", 3)]]
-    assert merge_grouped(parts) == [("a", 1), ("b", 2), ("c", 3)]
-
-
 def test_sort_by_value_desc_ties_broken_by_key():
     pairs = [("b", 2), ("a", 5), ("c", 2)]
     assert sort_by_value_desc(pairs) == [("a", 5), ("b", 2), ("c", 2)]
@@ -163,12 +121,13 @@ def test_partition_decorated_covers_and_preserves_sorted_order():
 
 
 def test_partition_decorated_agrees_with_hash_partition():
-    # entry routing must match the pair-level partitioner: both hash
-    # crc32(repr(key)), one from the cached sort key, one from the key
+    # entries are routed by crc32(repr(key)) taken from the cached sort
+    # key: the same salt-free bucket a pair-level hash partition picks
     pairs = [(f"k{i}", i) for i in range(64)]
-    entries = decorate_sorted(pairs)
-    by_entry = partition_decorated(entries, 8)
-    by_pair = hash_partition(pairs, 8)
+    by_pair: list[list] = [[] for _ in range(8)]
+    for key, value in pairs:
+        by_pair[zlib.crc32(repr(key).encode()) % 8].append((key, value))
+    by_entry = partition_decorated(decorate_sorted(pairs), 8)
     assert [sorted(undecorate(b)) for b in by_entry] == [sorted(b) for b in by_pair]
 
 
