@@ -20,6 +20,8 @@ fragment offset carried in the pair).
 
 from __future__ import annotations
 
+import operator
+
 from repro.phoenix.api import CostProfile, Emit, MapReduceSpec
 from repro.partition.merge import concat_merge
 
@@ -65,7 +67,7 @@ def make_stringmatch_spec(profile: CostProfile | None = None) -> MapReduceSpec:
         name="stringmatch",
         map_fn=sm_map,
         reduce_fn=None,
-        combine_fn=lambda old, new: old + new,
+        combine_fn=operator.add,
         merge_fn=concat_merge,
         profile=profile or SM_PROFILE,
         needs_sort=False,

@@ -19,6 +19,7 @@ core count (Fig 8(a)).
 
 from __future__ import annotations
 
+import operator
 import typing as _t
 
 from repro.phoenix.api import CostProfile, Emit, MapReduceSpec
@@ -72,7 +73,7 @@ def make_wordcount_spec(profile: CostProfile | None = None) -> MapReduceSpec:
         name="wordcount",
         map_fn=wc_map,
         reduce_fn=wc_reduce,
-        combine_fn=lambda old, new: old + new,
+        combine_fn=operator.add,
         merge_fn=sum_merge,
         profile=profile or WC_PROFILE,
         needs_sort=True,

@@ -10,8 +10,9 @@ handles: one ``open``+``mmap`` per file per process lifetime instead of
 an open/seek/read syscall triple per chunk.  The cache is LRU (hits move
 the entry to MRU position) and revalidated against a live ``stat`` on
 every lookup, so a file replaced or rewritten between jobs is remapped
-rather than served stale.  :func:`read_chunk_cached` slices chunk bytes
-off the cached mapping, and :func:`read_chunk_view` exposes chunk
+rather than served stale; whatever is still cached at interpreter exit
+is closed by an ``atexit`` hook.  :func:`read_chunk_cached` slices chunk
+bytes off the cached mapping, and :func:`read_chunk_view` exposes chunk
 payloads as zero-copy ``memoryview`` slices over it for consumers that
 can scan a buffer without materializing ``bytes``.
 
@@ -34,6 +35,7 @@ instead of truncating.
 
 from __future__ import annotations
 
+import atexit
 import collections
 import dataclasses
 import mmap
@@ -50,7 +52,6 @@ __all__ = [
     "read_chunk",
     "read_chunk_cached",
     "read_chunk_view",
-    "handle_cache_stats",
     "drop_cached_handle",
 ]
 
@@ -93,6 +94,16 @@ def _drop_handle(path: str) -> None:
     f.close()
 
 
+def _close_handles() -> None:
+    """Close every cached handle (registered with ``atexit``): otherwise
+    interpreter teardown finalizes the open files and warns."""
+    while _HANDLES:
+        _drop_handle(next(iter(_HANDLES)))
+
+
+atexit.register(_close_handles)
+
+
 def _cached_entry(
     path: str,
 ) -> tuple[int, int, int, int, _t.BinaryIO, mmap.mmap | None]:
@@ -128,21 +139,13 @@ def _cached_entry(
     return entry
 
 
-def handle_cache_stats() -> dict:
-    """Occupancy of the per-process mmap handle cache (hierarchy hook)."""
-    return {
-        "entries": len(_HANDLES),
-        "capacity": _MAX_CACHED_FILES,
-        "mapped_bytes": sum(entry[1] for entry in _HANDLES.values()),
-    }
-
-
 def drop_cached_handle(path: str) -> int:
-    """Close and forget the cached handle for ``path`` (hierarchy hook).
+    """Close and forget the cached handle for ``path``.
 
     Returns 1 if an entry was dropped, 0 otherwise.  Revalidation would
-    catch a replaced file on the next use anyway; this exists so cascade
-    invalidation can release the descriptor and mapping *now*.
+    catch a replaced file on the next use anyway; this releases the
+    descriptor and mapping *now* (say, before the file's directory is
+    removed).
     """
     if path in _HANDLES:
         _drop_handle(path)

@@ -54,12 +54,7 @@ from repro.exec.outofcore import plan_fragments, run_out_of_core
 from repro.exec.pool import WorkerPool, run_batch
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs import Observability
-from repro.phoenix.sort import (
-    finalize_folded_map,
-    finalize_merged_map,
-    fold_map_into,
-    merge_map_into,
-)
+from repro.phoenix.sort import finalize_folded_map, fold_map_into
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tier.store import TieredStore
@@ -81,6 +76,10 @@ _UNSET = object()
 
 #: cached chunk plans per engine (repeat jobs over an unchanged file)
 _MAX_CACHED_PLANS = 4
+
+#: map batches per worker in a pooled run: each worker folds its batch
+#: into one map, so a job ships a few maps per worker, not one per chunk
+_BATCHES_PER_WORKER = 2
 
 
 @dataclasses.dataclass
@@ -116,7 +115,6 @@ class LocalMapReduce:
         start_method: str | None = None,
         memory_budget: int | None = None,
         spill_dir: str | None = None,
-        batches_per_worker: int = 2,
         faults: FaultPlan | FaultInjector | None = None,
         transport: str = "auto",
         blackbox_dir: str | None = None,
@@ -141,9 +139,6 @@ class LocalMapReduce:
         self.memory_budget = memory_budget
         #: where spill run directories are created (None: system temp)
         self.spill_dir = spill_dir
-        if batches_per_worker < 1:
-            raise WorkloadError("batches_per_worker must be >= 1")
-        self.batches_per_worker = batches_per_worker
         #: burst buffer for spill runs (None: plain spill files).  Runs
         #: are keyed by job content identity, so a warm tier lets a
         #: repeat job over an unchanged input skip map+spill per run.
@@ -253,7 +248,6 @@ class LocalMapReduce:
                         self.sort_output, params, budget, obs, self.spill_dir,
                         faults=self.faults,
                         max_retries=self.spill_retries,
-                        prefolded=self.combine_fn is not None,
                         tier=self.tier, tier_key=tier_key,
                         prefetcher=prefetcher,
                     )
@@ -263,16 +257,10 @@ class LocalMapReduce:
             else:
                 merged = self._map_chunks(chunks, params, parallel, job_sp)
                 with obs.span("localmr.merge", cat="localmr", track="localmr"):
-                    if self.combine_fn is not None:
-                        # the accumulator is scalar-folded (fold_map_into)
-                        out = finalize_folded_map(
-                            merged, self.reduce_fn, self.sort_output, params,
-                        )
-                    else:
-                        out = finalize_merged_map(
-                            merged, self.combine_fn, self.reduce_fn,
-                            self.sort_output, params,
-                        )
+                    out = finalize_folded_map(
+                        merged, self.combine_fn, self.reduce_fn,
+                        self.sort_output, params,
+                    )
                 n_fragments, spilled = 1, 0
         return LocalJobResult(
             output=out,
@@ -354,11 +342,10 @@ class LocalMapReduce:
         result is deterministic).  Serial path: one batch per chunk,
         in-process — the seed dataflow, byte for byte.
 
-        With a ``combine_fn`` the accumulator is *scalar-folded*
-        (``key -> folded value`` via :func:`fold_map_into` — no per-key
-        partial lists); without one it holds value lists in chunk order
-        (:func:`merge_map_into`).  Downstream consumers pick the matching
-        finalizer.
+        Arriving maps fold in with :func:`fold_map_into`: with a
+        ``combine_fn`` the accumulator is *scalar-folded* (``key -> folded
+        value``, no per-key partial lists); without one it holds value
+        lists in chunk order.
         """
         obs = self.obs
         want_spans = obs.enabled
@@ -366,7 +353,7 @@ class LocalMapReduce:
         use_pool = parallel and self.n_workers > 1 and len(chunks) > 1
         if use_pool:
             n_batches = min(
-                len(chunks), self.n_workers * self.batches_per_worker
+                len(chunks), self.n_workers * _BATCHES_PER_WORKER
             )
             per = -(-len(chunks) // n_batches)  # ceil division
             batches = [chunks[i : i + per] for i in range(0, len(chunks), per)]
@@ -401,10 +388,8 @@ class LocalMapReduce:
                         # result pipe (or run_batch's own accumulator),
                         # exclusively ours — no key-by-key fold needed
                         merged = arrived
-                    elif combine_fn is not None:
-                        fold_map_into(merged, arrived, combine_fn)
                     else:
-                        merge_map_into(merged, arrived, combine_fn)
+                        fold_map_into(merged, arrived, combine_fn)
                     next_index += 1
         return merged
 

@@ -7,13 +7,14 @@ fragment is mapped/combined/decorate-sorted on its own, and the fragment's
 sorted run is spilled to disk as pickled blocks.  At any instant the
 parent holds one fragment's accumulator — not the whole input's — which is
 what bounds peak RSS.  After the last fragment, the spilled runs are
-merged *lazily* (``heapq.merge`` via
-:func:`repro.phoenix.sort.merge_decorated_runs`), equal keys are folded
-across runs, and reduction happens per key as the stream drains, so the
-merge phase holds O(runs) read-ahead blocks plus the final output.
+merged *lazily* (:func:`repro.phoenix.sort.merge_decorated_runs`), equal
+keys are folded across runs and reduced per key as the stream drains —
+with the fold and finalize of the in-memory mode — so the merge phase
+holds O(runs) read-ahead blocks plus the final output.
 
 Spill format: each run file is a sequence of *independent* pickled
-blocks (lists of decorated ``(sort_key, key, values)`` entries, bounded
+blocks (lists of decorated ``(sort_key, key, value)`` entries — one
+folded value per key with a combiner, the value list without — bounded
 by :data:`SPILL_BLOCK_ENTRIES` and :data:`SPILL_BLOCK_VALUES`).
 Independence matters: a pickler/unpickler pair shared across blocks
 memoizes every object it has ever seen, so a shared reader would keep the
@@ -68,7 +69,6 @@ merge runs under ``localmr.merge``; recovery feeds ``retry.count`` and
 from __future__ import annotations
 
 import atexit
-import functools
 import io
 import itertools
 import operator
@@ -91,9 +91,9 @@ from repro.exec.chunks import FileChunk
 from repro.obs import Observability
 from repro.phoenix.sort import (
     decorate_sorted,
+    finalize_folded_map,
+    fold_map_into,
     merge_decorated_runs,
-    sort_decorated_by_value_desc,
-    undecorate,
 )
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -433,61 +433,25 @@ def _iter_blocks(
 
 
 # --------------------------------------------------------------------------
-# Merge-side folding / finalization
+# Cross-run fold
 # --------------------------------------------------------------------------
 
 
-def _fold_equal_keys(stream: _t.Iterator) -> _t.Iterator:
-    """Fold adjacent equal-key entries of a sort-key-ordered stream.
+def _fold_equal_keys(stream: _t.Iterator, combine_fn: _t.Callable | None) -> _t.Iterator:
+    """Fold equal keys across runs of a sort-key-ordered entry stream.
 
-    Value lists from later runs extend earlier ones, so each key's values
-    keep global chunk order.  Distinct keys that share a ``repr`` (hence a
-    sort key) stay distinct: within one sort-key group, grouping is by
-    actual key equality, emitted in first-seen order — the same order the
-    in-memory path's stable sort over dict-insertion order produces.
+    Entries sharing a key share its sort key, so they sit in one
+    sort-key group, and each group folds on its own with
+    :func:`~repro.phoenix.sort.fold_map_into`: a key's folded value
+    exists one group at a time, and the finalize reduces it as the stream
+    drains — combinerless value lists never pile up in the parent.
+    Distinct keys that share a ``repr`` stay distinct, in first-seen
+    order, the in-memory accumulator's order.
     """
-    for sort_key, group in itertools.groupby(stream, key=_SORT_KEY):
-        acc: dict[object, list] = {}
-        for _skey, key, values in group:
-            bucket = acc.get(key)
-            if bucket is None:
-                # entries come fresh off the unpickler; owning is safe
-                acc[key] = values
-            else:
-                bucket.extend(values)
-        for key, values in acc.items():
-            yield sort_key, key, values
-
-
-def _finalize_stream(
-    stream: _t.Iterator,
-    combine_fn: _t.Callable | None,
-    reduce_fn: _t.Callable | None,
-    sort_output: bool,
-    params: dict,
-) -> list[tuple[object, object]]:
-    """Reduce/fold the merged stream per key; mirror of
-    :func:`repro.phoenix.sort.finalize_merged_map` over a lazy stream.
-
-    Value lists exist one key at a time; only the final (key, value)
-    output is materialized.
-    """
-    folded = _fold_equal_keys(stream)
-    if reduce_fn is not None:
-        entries = [
-            (skey, key, reduce_fn(key, values, params))
-            for skey, key, values in folded
-        ]
-    elif combine_fn is not None:
-        entries = [
-            (skey, key, functools.reduce(combine_fn, values))
-            for skey, key, values in folded
-        ]
-    else:
-        entries = list(folded)
-    if sort_output:
-        entries = sort_decorated_by_value_desc(entries)
-    return undecorate(entries)
+    for _skey, group in itertools.groupby(stream, key=_SORT_KEY):
+        acc: dict = {}
+        fold_map_into(acc, ((key, value) for _, key, value in group), combine_fn)
+        yield from acc.items()
 
 
 # --------------------------------------------------------------------------
@@ -507,7 +471,6 @@ def run_out_of_core(
     spill_dir: str | None = None,
     faults: "FaultInjector | None" = None,
     max_retries: int = 2,
-    prefolded: bool = False,
     tier: "TieredStore | None" = None,
     tier_key: str | None = None,
     prefetcher: "ReadaheadPrefetcher | None" = None,
@@ -515,11 +478,11 @@ def run_out_of_core(
     """Fragment-at-a-time map/combine/sort/spill, then lazy merge-reduce.
 
     ``map_fragment`` is the engine's chunk-mapping closure (pool or
-    in-process) returning one merged ``key -> values`` map per fragment —
-    or, with ``prefolded=True`` (requires ``combine_fn``), a
-    *scalar-folded* ``key -> value`` map whose per-key combine is already
-    complete (the streaming engine's :func:`~repro.phoenix.sort.fold_map_into`
-    accumulator), which spills without the per-key reduce pass.
+    in-process) returning one fragment's folded map: ``key -> folded
+    value`` with a ``combine_fn``, ``key -> value list`` without (the
+    streaming engine's :func:`~repro.phoenix.sort.fold_map_into`
+    accumulator).  The merge folds equal keys across runs the same way,
+    so ``reduce_fn`` sees exactly what the in-memory mode hands it.
     Returns ``(output, n_fragments, spilled_bytes)``.  Spill files live
     under a fresh directory inside ``spill_dir`` (default: the system
     temp dir) and are removed whether the run succeeds or raises — with
@@ -608,26 +571,7 @@ def run_out_of_core(
             index=i, chunks=len(fragment),
             bytes=sum(c.length for c in fragment),
         ):
-            merged = map_fragment(fragment)
-            if combine_fn is not None:
-                # fragment-side combine: one folded partial per key
-                # before spilling (licensed by the combiner contract;
-                # halves spill volume).  The cross-run fold then hands
-                # reduce per-fragment partial lists.  A prefolded
-                # accumulator already holds the scalar; a value-list
-                # accumulator folds here.
-                if prefolded:
-                    entries = decorate_sorted(
-                        (k, [v]) for k, v in merged.items()
-                    )
-                else:
-                    entries = decorate_sorted(
-                        (k, [functools.reduce(combine_fn, vs)])
-                        for k, vs in merged.items()
-                    )
-            else:
-                entries = decorate_sorted(merged)
-            del merged
+            entries = decorate_sorted(map_fragment(fragment))
             with obs.span(
                 "localmr.spill", cat="localmr", track="localmr", index=i,
             ) as spill_sp:
@@ -700,8 +644,9 @@ def run_out_of_core(
                             for j, src in enumerate(run_sources)
                         ]
                     )
-                    output = _finalize_stream(
-                        stream, combine_fn, reduce_fn, sort_output, params
+                    output = finalize_folded_map(
+                        _fold_equal_keys(stream, combine_fn),
+                        combine_fn, reduce_fn, sort_output, params,
                     )
                 break
             except SpillCorruptionError as exc:

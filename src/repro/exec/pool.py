@@ -43,10 +43,8 @@ genuinely dies mid-task, *fail* replaces it with a raise.
 
 from __future__ import annotations
 
-import collections
 import concurrent.futures as _cf
 import multiprocessing as mp
-import operator
 import os
 import sys
 import time
@@ -67,17 +65,13 @@ from repro.errors import (
     mark_retryable,
 )
 from repro.exec.chunks import read_chunk_cached
+from repro.phoenix.sort import make_emit
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
     from repro.obs import Observability
 
 __all__ = ["WorkerPool", "read_chunk_cached", "resolve_start_method", "run_batch"]
-
-# C helper behind collections.Counter: folds an iterable of hashables into
-# a dict at C speed (``d[k] = d.get(k, 0) + 1`` per element, no Python
-# frame per key).  ``collections`` re-exports the C version when built.
-_count_elements = collections._count_elements
 
 # per-worker heartbeat baseline: (cpu_s, perf_counter) at the previous
 # heartbeat, for utilization over the interval since then
@@ -128,23 +122,13 @@ def run_batch(args: tuple) -> tuple[int, dict, list | None]:
     """Worker body: map a batch of consecutive chunks into one combiner map.
 
     Returns ``(batch_index, combiner_map, segments)``.  All of the batch's
-    chunks fold into a single accumulator — with a ``combine_fn`` this is
-    worker-side combining across chunks (licensed by the combiner contract:
-    an associative/commutative fold), without one it is value-list
-    extension in chunk order — so the result pipe carries one map per batch.
-    The fold is specialized per combiner shape: the hot (existing-key)
-    path is a bare ``try``/``except`` dict probe — zero-cost when the key
-    is present under CPython 3.11 — and ``operator.add`` combiners fold
-    with the inline ``+`` operator instead of a call per emission.
-
-    The emit callable also carries a vectorized form, ``emit.many(keys,
-    value)``, equivalent to ``for k in keys: emit(k, value)``.  Map
-    functions that already hold a sequence of keys (tokenizers, parsers)
-    can hand it over whole and skip one Python call per emission; for
-    ``operator.add`` combiners with ``value == 1`` — the counting shape —
-    the fold runs entirely in C via ``Counter``'s ``_count_elements``
-    helper.  Emission order, and therefore first-seen key order in the
-    accumulator, is identical on both forms.
+    chunks fold into a single accumulator through the shared emit/fold
+    kernel (:func:`repro.phoenix.sort.make_emit`) — with a ``combine_fn``
+    this is worker-side combining across chunks (licensed by the combiner
+    contract: an associative/commutative fold), without one it is
+    value-list extension in chunk order — so the result pipe carries one
+    map per batch.  Map functions may call ``emit.many(keys, value)`` to
+    hand over a whole token list; the counting shape folds in C.
 
     ``segments`` are wall-clock span tuples ``(name, t0, t1, wall_dur,
     attrs)`` per chunk when tracing is on, else ``None`` (tracing-off runs
@@ -156,44 +140,8 @@ def run_batch(args: tuple) -> tuple[int, dict, list | None]:
     """
     index, chunks, map_fn, combine_fn, params, want_spans = args
     segments: list | None = [] if want_spans else None
-
     acc: dict[object, object] = {}
-    if combine_fn is None:
-        def emit(key: object, value: object) -> None:
-            acc.setdefault(key, []).append(value)  # type: ignore[union-attr]
-
-        def emit_many(keys: _t.Iterable, value: object) -> None:
-            grow = acc.setdefault
-            for key in keys:
-                grow(key, []).append(value)  # type: ignore[union-attr]
-    elif combine_fn is operator.add:
-        def emit(key: object, value: object) -> None:
-            try:
-                old = acc[key]
-            except KeyError:
-                acc[key] = value
-            else:
-                acc[key] = old + value
-
-        def emit_many(keys: _t.Iterable, value: object) -> None:
-            if type(value) is int and value == 1:
-                _count_elements(acc, keys)
-            else:
-                for key in keys:
-                    emit(key, value)
-    else:
-        def emit(key: object, value: object) -> None:
-            try:
-                old = acc[key]
-            except KeyError:
-                acc[key] = value
-            else:
-                acc[key] = combine_fn(old, value)
-
-        def emit_many(keys: _t.Iterable, value: object) -> None:
-            for key in keys:
-                emit(key, value)
-    emit.many = emit_many  # type: ignore[attr-defined]
+    emit = make_emit(acc, combine_fn)
 
     for chunk in chunks:
         t0 = time.time() if want_spans else 0.0

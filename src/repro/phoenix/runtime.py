@@ -29,7 +29,7 @@ from repro.phoenix.sort import (
     merge_combiner_maps,
     merge_entry_runs,
     partition_decorated,
-    sort_decorated_by_value_desc,
+    sort_by_value_desc,
     undecorate,
 )
 from repro.sim.events import Event
@@ -319,12 +319,9 @@ class PhoenixRuntime:
                         yield node.cpu.submit(merge_ops, name=f"{spec.name}.merge")
                     if reduced_parts is not None:
                         if spec.sort_output:
-                            # the value sort is a total order (distinct sort
-                            # keys break ties); the key-order merge would be
-                            # wasted work
-                            out_entries: _t.Iterable = (
-                                e for part in reduced_parts for e in part
-                            )
+                            # the value sort orders by sort key first; the
+                            # key-order merge would be wasted work
+                            out_entries = [e for part in reduced_parts for e in part]
                         else:
                             out_entries = merge_entry_runs(reduced_parts)
                     elif entries is not None:
@@ -337,7 +334,7 @@ class PhoenixRuntime:
                             e for c in combiners for e in decorate_sorted(c.data, cache)
                         ]
                     if spec.sort_output:
-                        out_entries = sort_decorated_by_value_desc(out_entries)
+                        sort_by_value_desc(out_entries, decorated=True)
                     output: object = undecorate(out_entries)
                 stats.merge_time = sp.dur
 
@@ -446,7 +443,7 @@ def _sequential_compute(spec: MapReduceSpec, payload: object, params: dict) -> o
     else:
         entries = decorate_sorted(comb.data)
     if spec.sort_output:
-        entries = sort_decorated_by_value_desc(entries)
+        sort_by_value_desc(entries, decorated=True)
     return undecorate(entries)
 
 

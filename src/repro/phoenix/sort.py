@@ -4,24 +4,38 @@ This is the functional half of the runtime — it operates on the actual
 key/value pairs the user's map emitted (over the materialized payload), so
 tests can assert that word counts really count and matches really match.
 
-The hot path is a **sort-once, merge-after** pipeline (the "Sort" box of
-Fig 1).  Per-worker combiner maps are dict-merged (no per-worker sort, no
-flatten/regroup), leaving one map of *distinct* keys; a single
-decorate-sort pass then computes each key's sort key — ``repr(key)`` —
-exactly once per distinct key per job and carries it, as the first element
-of a ``(sort_key, key, value)`` *decorated entry*, through partitioning,
-reduction, and the final merge, none of which ever re-sort or re-``repr``.
-Partition hashes are ``zlib.crc32`` over the decorated sort-key bytes:
-C-speed and salt-free, hence deterministic across processes (Python's
-``hash`` is salted per process).  Reduce buckets inherit the sorted order,
-so per-bucket outputs are sorted runs; the final merge exploits that via
-Timsort's natural-run galloping (:func:`merge_entry_runs`) or, for
-streaming consumers, a lazy ``heapq.merge`` (:func:`merge_decorated_runs`).
+Every engine runs the same Phoenix procedure (Fig 1) through the same
+pieces, one per concept:
+
+* **Emit/fold.**  :func:`make_emit` is the map-side kernel: the worker
+  batches of the real engine and the simulator's :class:`Combiner` both
+  fold emissions with it.  :func:`fold_map_into` folds a whole map (or a
+  stream of pairs) into an accumulator: the streaming parent, the
+  out-of-core merge and :func:`local_merge_maps` use it.
+* **Finalize.**  :func:`finalize_folded_map` reduces a folded map and
+  orders its output; the in-memory and out-of-core real engines share it.
+* **Value order.**  :func:`sort_by_value_desc` is the one
+  frequency-descending output order.
+
+The simulator's shuffle is a **sort-once, merge-after** pipeline (the
+"Sort" box of Fig 1).  Per-worker combiner maps are dict-merged (no
+per-worker sort, no flatten/regroup), leaving one map of *distinct* keys;
+a single decorate-sort pass then computes each key's sort key —
+``repr(key)`` — exactly once per distinct key per job and carries it, as
+the first element of a ``(sort_key, key, value)`` *decorated entry*,
+through partitioning, reduction, and the final merge, none of which ever
+re-sort or re-``repr``.  Partition hashes are ``zlib.crc32`` over the
+decorated sort-key bytes: C-speed and salt-free, hence deterministic
+across processes (Python's ``hash`` is salted per process).  Reduce
+buckets inherit the sorted order, so per-bucket outputs are sorted runs;
+the final merge exploits that via Timsort's natural-run galloping
+(:func:`merge_entry_runs`) or, for streaming consumers, a lazy heap merge
+(:func:`merge_decorated_runs`).
 """
 
 from __future__ import annotations
 
-import functools
+import collections
 import heapq
 import operator
 import typing as _t
@@ -30,16 +44,14 @@ import zlib
 __all__ = [
     "Combiner",
     "KeyCache",
+    "make_emit",
     "merge_combiner_maps",
-    "merge_map_into",
     "fold_map_into",
-    "finalize_merged_map",
     "finalize_folded_map",
     "decorate_sorted",
     "partition_decorated",
     "merge_entry_runs",
     "merge_decorated_runs",
-    "sort_decorated_by_value_desc",
     "undecorate",
     "shuffle_parallel",
     "local_merge_maps",
@@ -53,41 +65,114 @@ _SORT_KEY = operator.itemgetter(0)
 _VALUE_KEY = operator.itemgetter(2)
 _PAIR_VALUE = operator.itemgetter(1)
 
+# C helper behind collections.Counter: folds an iterable of hashables into
+# a dict at C speed (``d[k] = d.get(k, 0) + 1`` per element, no Python
+# frame per key).  ``collections`` re-exports the C version when built.
+_count_elements = collections._count_elements
+
 
 def _REPR_KEY(kv: tuple) -> str:
     return repr(kv[0])
 
 
+def make_emit(
+    acc: dict, combine_fn: _t.Callable[[object, object], object] | None
+) -> _t.Callable[[object, object], None]:
+    """The emit/fold kernel: an ``emit(key, value)`` folding into ``acc``.
+
+    Without a ``combine_fn`` ``acc`` holds each key's value list in
+    emission order; with one it holds one folded value per key.  The fold
+    is specialized per combiner shape: the hot (existing-key) path is a
+    bare ``try``/``except`` dict probe — zero-cost when the key is present
+    under CPython 3.11 — and ``operator.add`` combiners fold with the
+    inline ``+`` operator instead of a call per emission.
+
+    The callable also carries a vectorized form, ``emit.many(keys,
+    value)``, equivalent to ``for k in keys: emit(k, value)``.  Map
+    functions that already hold a sequence of keys (tokenizers, parsers)
+    can hand it over whole and skip one Python call per emission; for
+    ``operator.add`` combiners with ``value == 1`` — the counting shape —
+    the fold runs entirely in C via ``Counter``'s ``_count_elements``
+    helper.  Emission order, and therefore first-seen key order in
+    ``acc``, is identical on both forms.
+    """
+    if combine_fn is None:
+        def emit(key: object, value: object) -> None:
+            acc.setdefault(key, []).append(value)
+
+        def many(keys: _t.Iterable, value: object) -> None:
+            grow = acc.setdefault
+            for key in keys:
+                grow(key, []).append(value)
+    elif combine_fn is operator.add:
+        def emit(key: object, value: object) -> None:
+            try:
+                old = acc[key]
+            except KeyError:
+                acc[key] = value
+            else:
+                acc[key] = old + value
+
+        def many(keys: _t.Iterable, value: object) -> None:
+            if type(value) is int and value == 1:
+                _count_elements(acc, keys)
+            else:
+                for key in keys:
+                    emit(key, value)
+    else:
+        def emit(key: object, value: object) -> None:
+            try:
+                old = acc[key]
+            except KeyError:
+                acc[key] = value
+            else:
+                acc[key] = combine_fn(old, value)
+
+        def many(keys: _t.Iterable, value: object) -> None:
+            for key in keys:
+                emit(key, value)
+    emit.many = many  # type: ignore[attr-defined]
+    return emit
+
+
 class Combiner:
-    """Collects map emissions, optionally pre-combining values per key.
+    """One simulated map task's emissions, folded by :func:`make_emit`.
 
     With a ``combine_fn(old, new)`` the structure holds one value per key
     (e.g. running counts); without, it holds the full value list.
+    ``emit`` (and its ``emit.many``) also counts raw emissions, which
+    drive the simulator's intermediate-size accounting.
     """
 
-    __slots__ = ("combine_fn", "data", "emitted")
+    __slots__ = ("combine_fn", "data", "emit", "_emitted")
 
     def __init__(self, combine_fn: _t.Callable[[object, object], object] | None):
         self.combine_fn = combine_fn
         self.data: dict[object, object] = {}
-        #: raw emissions seen (stats; drives intermediate-size accounting)
-        self.emitted = 0
+        emitted = self._emitted = [0]
+        fold = make_emit(self.data, combine_fn)
+        fold_many = fold.many  # type: ignore[attr-defined]
 
-    def emit(self, key: object, value: object) -> None:
-        """The callback handed to user map functions."""
-        self.emitted += 1
-        if self.combine_fn is None:
-            bucket = self.data.setdefault(key, [])
-            bucket.append(value)  # type: ignore[union-attr]
-        else:
-            if key in self.data:
-                self.data[key] = self.combine_fn(self.data[key], value)
-            else:
-                self.data[key] = value
+        def emit(key: object, value: object) -> None:
+            """The callback handed to user map functions."""
+            emitted[0] += 1
+            fold(key, value)
+
+        def many(keys: _t.Sized, value: object) -> None:
+            emitted[0] += len(keys)
+            fold_many(keys, value)
+
+        emit.many = many  # type: ignore[attr-defined]
+        self.emit = emit
+
+    @property
+    def emitted(self) -> int:
+        """Raw emissions seen."""
+        return self._emitted[0]
 
     def pairs(self) -> list[tuple[object, object]]:
         """(key, value-or-valuelist) pairs in deterministic key order."""
-        return sorted(self.data.items(), key=lambda kv: repr(kv[0]))
+        return sorted(self.data.items(), key=_REPR_KEY)
 
 
 class KeyCache:
@@ -117,82 +202,56 @@ def merge_combiner_maps(
     """Dict-merge per-worker combiner maps into one ``key -> values`` map.
 
     Replaces the seed's flatten-then-regroup dance: without ``combine_fn``
-    workers hold value lists, which are extended; with it, each worker's
-    folded partial is appended — so reducers see exactly the per-worker
-    value lists the seed pipeline produced, with zero sorting.
+    workers hold value lists, which are extended (:func:`fold_map_into`);
+    with it, each worker's folded partial is appended — so reducers see
+    exactly the per-worker value lists the seed pipeline produced, with
+    zero sorting.
     """
     merged: dict[object, list] = {}
-    merged_get = merged.get
     if combine_fn is None:
         for m in maps:
-            for key, values in m.items():
-                bucket = merged_get(key)
-                if bucket is None:
-                    merged[key] = list(values)
-                else:
-                    bucket.extend(values)
-    else:
-        for m in maps:
-            for key, value in m.items():
-                bucket = merged_get(key)
-                if bucket is None:
-                    merged[key] = [value]
-                else:
-                    bucket.append(value)
-    return merged
-
-
-def merge_map_into(
-    merged: dict[object, list],
-    m: dict,
-    combine_fn: _t.Callable[[object, object], object] | None,
-) -> None:
-    """Fold one combiner map into ``merged`` (incremental counterpart of
-    :func:`merge_combiner_maps`).
-
-    The streaming engine merges each worker result the moment it arrives —
-    merge CPU overlaps the remaining map work and the parent never holds
-    more than the accumulator plus in-flight results — so the merge has to
-    be expressible one map at a time.  Semantics match the batch function:
-    value lists are extended (no ``combine_fn``), folded partials are
-    appended (with one).
-    """
+            fold_map_into(merged, m, None)
+        return merged
     merged_get = merged.get
-    if combine_fn is None:
-        for key, values in m.items():
-            bucket = merged_get(key)
-            if bucket is None:
-                merged[key] = list(values)
-            else:
-                bucket.extend(values)
-    else:
+    for m in maps:
         for key, value in m.items():
             bucket = merged_get(key)
             if bucket is None:
                 merged[key] = [value]
             else:
                 bucket.append(value)
+    return merged
 
 
 def fold_map_into(
     merged: dict[object, object],
-    m: dict,
-    combine_fn: _t.Callable[[object, object], object],
+    m: dict | _t.Iterable[tuple[object, object]],
+    combine_fn: _t.Callable[[object, object], object] | None,
 ) -> None:
-    """Scalar-fold one combiner map into ``merged``: ``key -> folded value``.
+    """Fold one combiner map (or a stream of its pairs) into ``merged``.
 
-    The allocation-lean counterpart of :func:`merge_map_into` for jobs
-    *with* a combiner: instead of appending each batch's partial to a
-    per-key list (one list plus one append per key per batch) and folding
-    the lists at finalize time, the partial folds into the accumulator
-    immediately — the merge loop allocates nothing per key.  Licensed by
-    the combiner contract (the engine may pre-combine across any grouping
-    of chunks); the hot (existing-key) path is a bare ``try``/``except``
-    dict probe, and ``operator.add`` combiners fold with the inline ``+``
-    operator instead of a call per key.
+    Without a ``combine_fn`` values are lists: a known key's list is
+    extended, a new key gets a copy (``m`` may still belong to the
+    caller).  With one, each partial folds into the accumulator at once —
+    ``key -> folded value``, no per-key list, nothing allocated per key.
+    Licensed by the combiner contract (the engine may pre-combine across
+    any grouping of chunks).  A left fold in ``m`` order, so folding maps
+    one by one equals a left reduce over each key's partials.  The
+    hot (existing-key) path is a bare ``try``/``except`` dict probe, and
+    ``operator.add`` combiners fold with the inline ``+`` operator
+    instead of a call per key.
     """
-    if combine_fn is operator.add:
-        for key, value in m.items():
+    items = m.items() if isinstance(m, dict) else m
+    if combine_fn is None:
+        for key, values in items:
+            try:
+                bucket = merged[key]
+            except KeyError:
+                merged[key] = list(values)  # type: ignore[call-overload]
+            else:
+                bucket.extend(values)  # type: ignore[attr-defined]
+    elif combine_fn is operator.add:
+        for key, value in items:
             try:
                 old = merged[key]
             except KeyError:
@@ -200,7 +259,7 @@ def fold_map_into(
             else:
                 merged[key] = old + value
     else:
-        for key, value in m.items():
+        for key, value in items:
             try:
                 old = merged[key]
             except KeyError:
@@ -292,26 +351,32 @@ def merge_decorated_runs(runs: _t.Iterable[_t.Iterable[Entry]]) -> _t.Iterator[E
             heappop(heap)
 
 
-def sort_decorated_by_value_desc(entries: _t.Iterable[Entry]) -> list[Entry]:
-    """Frequency-descending output order, tie-broken on the cached sort key.
+def sort_by_value_desc(items: list, decorated: bool = False) -> list:
+    """Frequency-descending output order, tie-broken on the sort key.
 
-    When every value is a plain number, two stable passes with C-speed
-    itemgetter keys — sort-key ascending, then value descending
-    (``reverse=True`` preserves the order of equal elements) — equal one
-    sort by ``(-value, sort_key)`` without a Python-level key lambda
-    allocating a tuple per entry.  Any other value type falls back to the
-    seed's permissive ordering, whose :func:`_as_num` coercion treats
-    non-numbers as equal (and parses numeric strings!), which direct
-    comparison would not reproduce — among entries whose fallback keys
-    tie, the sort-key pass already restored the order a direct stable
-    sort would keep.
+    Sorts ``items`` in place and returns it: ``(key, value)`` pairs, or
+    with ``decorated`` ``(sort_key, key, value)`` entries, whose cached
+    sort key spares the ``repr``.  The order is the seed's composite key
+    ``(-_as_num(value), repr(key))`` applied to the items in sort-key
+    order.  A stable sort-key pass comes first.  When every value is a
+    plain number, one stable value-descending pass with a C-speed
+    itemgetter key (``reverse=True`` preserves the order of equal
+    elements) then equals the composite key without a Python-level key
+    lambda allocating a tuple per item.  Any other value type sorts on
+    the composite key itself: :func:`_as_num` treats non-numbers as equal
+    (and parses numeric strings!), which direct comparison would not
+    reproduce.
     """
-    entries = list(entries)
-    entries.sort(key=_SORT_KEY)
-    if all(type(e[2]) is int or type(e[2]) is float for e in entries):
-        return sorted(entries, key=_VALUE_KEY, reverse=True)
-    entries.sort(key=lambda e: (-_as_num(e[2]), e[0]))
-    return entries
+    if decorated:
+        sort_key, value = _SORT_KEY, _VALUE_KEY
+    else:
+        sort_key, value = _REPR_KEY, _PAIR_VALUE
+    items.sort(key=sort_key)
+    if all(type(v) is int or type(v) is float for v in map(value, items)):
+        items.sort(key=value, reverse=True)
+    else:
+        items.sort(key=lambda item: (-_as_num(value(item)), sort_key(item)))
+    return items
 
 
 def undecorate(entries: _t.Iterable[Entry]) -> list[tuple[object, object]]:
@@ -346,10 +411,10 @@ def shuffle_parallel(
             for b in buckets
         ]
         if sort_output:
-            # the value sort is a total order (distinct sort keys break
-            # ties), so the key-order merge would be wasted work
+            # the value sort orders by sort key first, so the key-order
+            # merge would be wasted work
             return undecorate(
-                sort_decorated_by_value_desc(e for part in parts for e in part)
+                sort_by_value_desc([e for part in parts for e in part], decorated=True)
             )
         return undecorate(merge_entry_runs(parts))
     if entries is None:
@@ -357,14 +422,10 @@ def shuffle_parallel(
         # worker order (what the seed pipeline emitted for this case);
         # the cache keeps keys recurring across workers at one repr each
         cache = KeyCache()
-        out_entries: _t.Iterable[Entry] = [
-            e for m in combiner_maps for e in decorate_sorted(m, cache)
-        ]
-    else:
-        out_entries = entries
+        entries = [e for m in combiner_maps for e in decorate_sorted(m, cache)]
     if sort_output:
-        out_entries = sort_decorated_by_value_desc(out_entries)
-    return undecorate(out_entries)
+        entries = sort_by_value_desc(entries, decorated=True)
+    return undecorate(entries)
 
 
 def local_merge_maps(
@@ -374,95 +435,61 @@ def local_merge_maps(
     sort_output: bool,
     params: dict,
 ) -> list[tuple[object, object]]:
-    """Parent-side shuffle of LocalMapReduce: dict-merge the worker maps.
+    """Parent-side shuffle of a list of worker maps (the frozen seed engine's).
 
     Workers ship their raw combiner maps (smaller IPC than decorated
-    runs); the parent dict-merges them and pays exactly one ``repr`` per
-    distinct key per job in the single decorate-sort — repr'ing in the
-    workers would cost one per key per *chunk*, which measures slower even
-    before pickling the extra strings.
+    runs).  With a reducer, it sees each key's per-map partial list, as
+    the seed's did; without one the maps left-fold in map order, which
+    for a combiner is exactly the seed's left reduce over those partials.
+    Either way the shared finalize pays one ``repr`` per distinct key —
+    repr'ing in the workers would cost one per key per *chunk*, which
+    measures slower even before pickling the extra strings.
     """
-    return finalize_merged_map(
-        merge_combiner_maps(maps, combine_fn), combine_fn, reduce_fn,
-        sort_output, params,
-    )
+    if reduce_fn is not None:
+        return finalize_folded_map(
+            merge_combiner_maps(maps, combine_fn), None, reduce_fn,
+            sort_output, params,
+        )
+    merged: dict = {}
+    for m in maps:
+        fold_map_into(merged, m, combine_fn)
+    return finalize_folded_map(merged, combine_fn, None, sort_output, params)
 
 
-def finalize_merged_map(
-    merged: dict[object, list],
+def finalize_folded_map(
+    merged: dict | _t.Iterable[tuple[object, object]],
     combine_fn: _t.Callable[[object, object], object] | None,
     reduce_fn: _t.Callable[[object, list, dict], object] | None,
     sort_output: bool,
     params: dict,
 ) -> list[tuple[object, object]]:
-    """Reduce/fold + decorate-sort one already-merged ``key -> values`` map.
+    """Reduce and order a folded ``key -> value`` map: the job's output.
 
-    The tail of :func:`local_merge_maps`, split out so the streaming
-    engine can feed it an accumulator built incrementally (via
-    :func:`merge_map_into`) instead of a materialized list of maps.
+    ``merged`` is the folded map, or a stream of its distinct pairs (the
+    out-of-core merge reduces each key as its stream drains).  With a
+    ``combine_fn`` each key's combine is complete, so ``reduce_fn``
+    (whose contract must tolerate any pre-combining once a combiner is
+    declared) receives the single folded value ``[v]``; without one it
+    receives the key's value list.  Without a reducer the folded values
+    are the output.
+
+    Reduce first, then order in place: nothing downstream reuses a sort
+    key, so plain ``(key, value)`` pairs are sorted — one stable
+    ``repr``-order pass (the key order every decorated path produces), or
+    for ``sort_output`` the value-descending order of
+    :func:`sort_by_value_desc`.
     """
-    if reduce_fn is not None:
-        entries = [
-            (repr(k), k, reduce_fn(k, values, params))
-            for k, values in merged.items()
-        ]
-    elif combine_fn is not None:
-        # per-worker combined partials need one cross-worker fold
-        entries = [
-            (repr(k), k, functools.reduce(combine_fn, values))
-            for k, values in merged.items()
-        ]
+    items = merged.items() if isinstance(merged, dict) else merged
+    if reduce_fn is None:
+        out = list(items)
+    elif combine_fn is None:
+        out = [(k, reduce_fn(k, vs, params)) for k, vs in items]  # type: ignore[arg-type]
     else:
-        entries = [(repr(k), k, v) for k, v in merged.items()]
-    entries.sort(key=_SORT_KEY)
+        out = [(k, reduce_fn(k, [v], params)) for k, v in items]
     if sort_output:
-        # fast path only for plain numbers: _as_num orders anything else
-        # differently than direct comparison (see sort_decorated_by_value_desc)
-        if all(type(e[2]) is int or type(e[2]) is float for e in entries):
-            entries = sorted(entries, key=_VALUE_KEY, reverse=True)
-        else:
-            entries.sort(key=lambda e: (-_as_num(e[2]), e[0]))
-    return undecorate(entries)
-
-
-def finalize_folded_map(
-    merged: dict[object, object],
-    reduce_fn: _t.Callable[[object, list, dict], object] | None,
-    sort_output: bool,
-    params: dict,
-) -> list[tuple[object, object]]:
-    """Reduce + decorate-sort a *scalar-folded* ``key -> value`` map.
-
-    The counterpart of :func:`finalize_merged_map` for accumulators built
-    with :func:`fold_map_into`: each key's combine is already complete,
-    so there is no per-key list to fold — ``reduce_fn`` (whose contract
-    must tolerate any pre-combining once a combiner is declared) receives
-    the single folded partial.
-
-    Unlike the multi-stage shuffle, nothing downstream reuses the sort
-    key here, so this skips the decorate/undecorate round trip and sorts
-    plain ``(key, value)`` pairs: one stable ``repr``-order pass (the
-    same key order every decorated path produces), then for sorted output
-    one stable value-descending pass with a C-speed itemgetter key.
-    """
-    if reduce_fn is not None:
-        out = [(k, reduce_fn(k, [v], params)) for k, v in merged.items()]
-    else:
-        out = list(merged.items())
+        return sort_by_value_desc(out)
     out.sort(key=_REPR_KEY)
-    if sort_output:
-        # fast path only for plain numbers: _as_num orders anything else
-        # differently than direct comparison (see sort_decorated_by_value_desc)
-        if all(type(kv[1]) is int or type(kv[1]) is float for kv in out):
-            out = sorted(out, key=_PAIR_VALUE, reverse=True)
-        else:
-            out.sort(key=lambda kv: (-_as_num(kv[1]), repr(kv[0])))
     return out
-
-
-def sort_by_value_desc(pairs: _t.Iterable[tuple[object, object]]) -> list[tuple[object, object]]:
-    """Final output ordering of Word Count: by frequency, descending."""
-    return sorted(pairs, key=lambda kv: (-_as_num(kv[1]), repr(kv[0])))
 
 
 def _as_num(v: object) -> float:

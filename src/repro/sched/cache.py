@@ -156,7 +156,7 @@ class ResultCache:
             self.watch(sd.fs.vfs)
 
     def stats(self) -> dict:
-        """Counter snapshot (hierarchy hook)."""
+        """Counter snapshot."""
         return {
             "entries": len(self._entries),
             "capacity": self.capacity,

@@ -2,12 +2,12 @@
 
 While fragment N is being mapped, a :class:`ReadaheadPrefetcher` thread
 pre-reads the chunks of fragment N+1 (and deeper, per ``depth``) with
-``os.pread`` so their pages are warm in the OS page cache — and in the
-process's own cached mmap, via :func:`repro.exec.chunks.read_chunk_cached`'s
-handle cache — by the time the engine asks for them.  The thread reads
-into a small scratch buffer and discards it: the point is the page-cache
-side effect, not the bytes, so the prefetcher adds no RSS beyond one
-window buffer.
+``os.pread`` through descriptors of its own, so their pages are warm in
+the OS page cache by the time the engine's workers map them.  It does
+not touch the chunk-handle cache of :mod:`repro.exec.chunks`.  The
+thread reads into a small scratch buffer and discards it: the point is
+the page-cache side effect, not the bytes, so the prefetcher adds no RSS
+beyond one window buffer.
 
 ``advise(i)`` is the engine's only integration point: call it when
 fragment ``i`` *starts*; the prefetcher schedules the fragments after it

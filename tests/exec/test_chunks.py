@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,11 @@ from repro.errors import IntegrityError
 from repro.exec import chunk_file, read_chunk, read_chunk_cached, read_chunk_view
 from repro.exec.chunks import _HANDLES, _MAX_CACHED_FILES, FileChunk
 from repro.workloads import zipf_corpus
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "src",
+)
 
 
 @pytest.fixture()
@@ -229,6 +236,22 @@ def test_revalidation_key_includes_ctime(tmp_path):
     read_chunk_cached(FileChunk(str(p), 0, 4))
     assert _HANDLES[str(p)][3] == os.stat(p).st_ctime_ns
 
+
+
+def test_cached_handles_are_closed_at_exit(tmp_path):
+    # the handle cache outlives every job; interpreter exit must close
+    # it rather than leave teardown to finalize (and warn about) the file
+    p = tmp_path / "f"
+    p.write_bytes(b"a b c\n")
+    script = "import sys\nfrom repro.exec.chunks import chunk_file\nchunk_file(sys.argv[1], 1024)"
+    proc = subprocess.run(
+        [sys.executable, "-W", "always::ResourceWarning", "-c", script, str(p)],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert b"ResourceWarning" not in proc.stderr, proc.stderr.decode()
 
 @given(
     words=st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=80),

@@ -177,6 +177,11 @@ def test_run_override_forces_out_of_core(corpus):
 # -- property: out-of-core is observationally identical to in-memory ---------
 
 
+def _plus(old, new):
+    # a generic combiner: folds through the per-call path, not inline +
+    return old + new
+
+
 @given(
     words=st.lists(
         st.sampled_from([b"alpha", b"beta", b"gamma", b"delta", b"x"]),
@@ -185,18 +190,20 @@ def test_run_override_forces_out_of_core(corpus):
     ),
     chunk=st.integers(min_value=4, max_value=64),
     budget=st.integers(min_value=8, max_value=256),
+    combine=st.sampled_from([operator.add, _plus]),
+    reduce=st.sampled_from([wc_reduce, None]),
 )
 @settings(max_examples=30, deadline=None)
 def test_property_out_of_core_equals_in_memory(
-    tmp_path_factory, words, chunk, budget
+    tmp_path_factory, words, chunk, budget, combine, reduce
 ):
     data = b" ".join(words)
     p = tmp_path_factory.mktemp("ooc") / "corpus"
     p.write_bytes(data)
     eng = LocalMapReduce(
         map_fn=wc_map,
-        reduce_fn=wc_reduce,
-        combine_fn=operator.add,
+        reduce_fn=reduce,
+        combine_fn=combine,
         sort_output=True,
         n_workers=1,
     )

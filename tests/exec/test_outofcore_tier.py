@@ -21,7 +21,7 @@ def wc_fragment(fragment):
     for c in fragment:
         for w in read_chunk_cached(c).split():
             counts[w] = counts.get(w, 0) + 1
-    return {k: [v] for k, v in counts.items()}
+    return counts
 
 
 @pytest.fixture()

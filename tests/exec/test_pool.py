@@ -12,6 +12,7 @@ from repro.errors import WorkloadError
 from repro.exec import WorkerPool, resolve_start_method
 from repro.exec.chunks import FileChunk
 from repro.exec.pool import read_chunk_cached, run_batch
+from repro.phoenix.sort import Combiner
 
 
 # -- start-method resolution -------------------------------------------------
@@ -154,6 +155,14 @@ def test_emit_many_matches_per_key_loop(tmp_path, combine):
     assert many == loop
     # first-seen insertion order is part of the contract
     assert list(many) == list(loop) == [b"b", b"a", b"c"]
+    # the simulator's Combiner folds with the same kernel and also
+    # counts raw emissions on both forms
+    for map_fn in (_loop_map, _many_map):
+        comb = Combiner(combine)
+        map_fn(data, comb.emit, {})
+        assert comb.data == loop
+        assert list(comb.data) == list(loop)
+        assert comb.emitted == 6
 
 
 def test_emit_many_counting_fast_path(tmp_path):

@@ -38,11 +38,12 @@ Reads either export format (Chrome-trace/Perfetto JSON or JSONL, see
   ``shuffle.exchange`` leg itself lands on the job's ``dist:*`` track,
   so ``critpath --containment --root dist.job`` shows the exchange on
   the critical path when it dominates;
-* a tier section (burst-buffer hit-rate table across the cache
-  hierarchy's levels, promotion/demotion and eviction-by-cause counters,
-  write-back volume/losses, and the prefetch-win breakdown — how many
-  prefetched blocks a later read actually consumed) whenever the run
-  touched a tier (``tier.*`` counters present);
+* a tier section (the burst buffer's hit table — reads answered from
+  memory, from SSD or by the disk — promotion/demotion and
+  eviction-by-cause counters, write-back volume/losses, and the
+  prefetch-win breakdown — how many prefetched blocks a later read
+  actually consumed) whenever the run touched a tier (``tier.*``
+  counters present);
 * a recovery section (partial vs full restart counters, speculation
   launches and win rate, node quarantine/probation/rejoin transitions,
   and per-node suspicion sparklines from the ``node.suspicion.<name>``
