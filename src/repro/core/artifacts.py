@@ -9,7 +9,7 @@ only the work whose artifacts were lost, instead of re-planning the whole
 attempt from scratch.
 
 The frame is byte-compatible with the PR-4 spill frame
-(``repro.core.outofcore._BLOCK_HEADER``): ``<length:u32><crc32:u32>``
+(``repro.exec.outofcore._BLOCK_HEADER``): ``<length:u32><crc32:u32>``
 followed by the pickled payload.  A frame that fails its length or crc
 check raises :class:`~repro.errors.ShuffleArtifactError`, which the
 engine treats as "rebuild the producing shard", not "the node is dead".

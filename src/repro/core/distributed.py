@@ -7,46 +7,45 @@ blocks-per-node model: the input is staged *replicated* on every SD node
 of nodes can run any subset of the work — which is also what makes
 fine-grained recovery on the survivors possible after a shard node dies.
 
-One distributed run has four phases:
+Each attempt starts with a **plan**: the host peeks the replica payload
+(content never leaves the SD; the planner needs only boundaries), cuts
+the declared input into integrity-checked fragments
+(:func:`~repro.partition.partitioner.plan_fragments`, the Fig 7 check)
+and assigns contiguous fragment runs to shard nodes.  A pass then runs
+five phase steps over one shared attempt state:
 
-1. **plan** — the host peeks the replica payload (content never leaves
-   the SD; the planner needs only boundaries) and cuts the declared input
-   into integrity-checked fragments
-   (:func:`~repro.partition.partitioner.plan_fragments`, the Fig 7
-   check), assigning contiguous fragment runs to shard nodes;
-2. **map** — every shard node runs map + combine over its local
-   fragments via its own smartFAM channel (``dist_map``), persists its
-   intermediate data *partitioned by the crc32 shuffle hash*
-   (:func:`~repro.phoenix.sort.partition_decorated`) as crc32-framed
-   shuffle artifacts under ``/export/shuffle/<job>/``, and returns only
-   per-partition metadata;
-3. **exchange** — each partition is routed to the shard node already
-   holding the most bytes of it (minimum transfer); the other shards'
-   buckets cross the simulated fabric (``kind="shuffle"``), with byte
-   accounting and fault hooks at the ``shuffle.exchange`` site;
-4. **reduce/merge** — partition owners reduce their merged runs
-   (``dist_reduce``); the reduced partitions gather at the owner holding
-   the most reduced bytes (again minimum transfer), where ``dist_merge``
-   applies the user merge function and returns the final output.
+1. **map** — every shard node maps and combines its fragments
+   (``dist_map``) and persists the output as crc32-framed shuffle
+   artifacts under ``/export/shuffle/<job>/``: buckets partitioned by
+   the crc32 shuffle hash (:func:`~repro.phoenix.sort.partition_decorated`)
+   for reduce apps, one part per fragment for map-only apps.  A
+   straggling shard gets a *speculative duplicate* on a spare replica
+   (:class:`SpeculationPolicy`); the first result wins;
+2. **exchange** — each partition's buckets move to its reduce owner;
+3. **reduce** — each owner reduces its partitions (``dist_reduce``);
+4. **gather** — the merge inputs move to the merge node: the reduced
+   partitions, or, for a map-only app (String Match, which skips exchange
+   and reduce), the per-fragment outputs in global fragment order;
+5. **merge** — ``dist_merge`` applies the user merge function there and
+   returns the final output.
 
-Map-only applications (String Match) skip the partition exchange: the
-per-fragment outputs gather directly at the minimum-transfer node and
-concatenate in global fragment order — byte-identical to the single-node
-extended runtime by construction, because the fragment plan is the same.
+**One owner rule** places every reduce and the merge: the live node
+already holding the most bytes of the pieces (ties to the lower
+candidate rank; with none live, the lowest-rank survivor).  **One move
+step** ships the other pieces across the simulated fabric
+(``kind="shuffle"``, fault site ``shuffle.exchange``) and skips every
+copy the manifest already holds (``dist.transfer.dedup``).
 
-Fault tolerance is **partial restart first** (ISSUE 9): every durable
-intermediate is registered in a per-attempt
-:class:`~repro.core.artifacts.AttemptManifest`, so when a shard dies the
-engine invalidates only what that node held, reassigns its shards to
-survivors, and re-runs exactly the missing work — exchange transfers
-already received at their owners are deduplicated by
-``(owner, shard, partition)`` id.  A straggling map shard gets a
-*speculative duplicate* on a spare replica (:class:`SpeculationPolicy`);
-first result wins, the loser is cancelled, and duplicates are safe
-because reduce inputs are keyed by partition id, not arrival.  Whole-job
-restart (fresh plan, fresh shuffle dir) remains the escalation path when
-no artifacts survive or the partial-recovery budget is exhausted; when no
-replicas remain at all the engine raises
+**One failure contract** drives recovery.  Every durable intermediate is
+registered in a per-attempt :class:`~repro.core.artifacts.AttemptManifest`.
+A step that can pin a failure on a node commits every success, then
+raises it; the engine invalidates only what that node held (or just the
+corrupt artifact), reassigns the node's shards to survivors and runs
+another pass, which redoes exactly the missing work.  Anything else — a
+transfer out of retries, an exhausted pass or rebuild budget, no
+survivors, or ``partial_restart=False`` — escalates to a whole-job
+restart (fresh plan, fresh shuffle dir) without the excluded nodes.
+When no replicas remain the engine raises
 :class:`~repro.errors.DistributedJobError` — retryable, so the cluster
 scheduler can fall back to a single-node host run.
 """
@@ -135,32 +134,26 @@ class DistPlan:
 class SpeculationPolicy:
     """When to launch a duplicate of a straggling map shard.
 
-    A shard becomes a straggler once it has run longer than
-    ``multiplier`` times the median of this phase's completed shard
-    durations (and, when tracing has accumulated a ``dist.latency.map``
-    histogram, longer than its ``percentile``-th percentile, whichever
-    threshold is tighter).  Speculation waits for ``min_done`` completions
-    first (default: a majority of the phase's shards) so the threshold
-    has signal, launches at most one duplicate per shard, and only uses
-    replicas with no in-flight map work.
+    Once a majority of the phase's shards have completed, a shard still
+    running longer than ``multiplier`` times the median of those
+    completed durations (floored at ``min_wait``) is a straggler.  The
+    threshold reads only this phase's durations, so it is the same
+    whether tracing is on or off and whatever ran before.  At most one
+    duplicate is launched per shard, and only on a replica with no
+    in-flight map work.
     """
 
     enabled: bool = True
     multiplier: float = 1.5
-    percentile: float = 95.0
-    min_done: int | None = None
     #: floor for the straggler threshold (absorbs near-zero medians)
     min_wait: float = 0.05
 
-    def threshold(self, durations: list, histogram=None) -> float | None:
+    def threshold(self, durations: list) -> float | None:
         """The straggler cutoff given completed durations (None: no signal)."""
         if not durations:
             return None
         med = sorted(durations)[len(durations) // 2]
-        thr = self.multiplier * max(med, 1e-9)
-        if histogram is not None and histogram.count >= 8:
-            thr = min(thr, max(histogram.percentile(self.percentile), self.min_wait))
-        return max(thr, self.min_wait)
+        return max(self.multiplier * max(med, 1e-9), self.min_wait)
 
 
 @dataclasses.dataclass
@@ -318,15 +311,63 @@ def plan_distribution(
 
 
 class _ShardFailure(Exception):
-    """Internal: one shard node failed its invocation (carries the cause)."""
+    """A failure pinned on one node — the one failure contract.
 
-    def __init__(self, node: str, cause: BaseException, phase: str = "?"):
+    A phase step raises it only after committing every success to the
+    attempt manifest, so the next recovery pass re-runs just the failed
+    node's work.  Any other exception escalates to the whole-job loop.
+    """
+
+    def __init__(self, node: str, cause: BaseException, phase: str):
         super().__init__(f"shard on {node} failed at {phase}: {cause!r}")
         self.node = node
         self.cause = cause
         self.phase = phase
-        #: whether this failure was already recorded in the recovery log
-        self.noted = False
+
+
+@dataclasses.dataclass(frozen=True)
+class _Piece:
+    """One durable artifact that a step reads on the node that owns it."""
+
+    #: the node whose disk holds it
+    node: str
+    path: str
+    nbytes: int
+    #: the partition id in the ``shuffle.exchange`` fault-site context
+    wire: int
+    #: completes the manifest dedup key ``(owner, *id)``
+    id: tuple
+    #: where a moved copy lands
+    dst: str
+    #: fields the SD module's input spec carries after path and bytes
+    meta: dict
+
+
+@dataclasses.dataclass
+class _Attempt:
+    """One attempt's state, shared by its phase steps and recovery passes."""
+
+    job: DistributedJob
+    plan: DistPlan
+    shuffle_dir: str
+    #: parameters common to every SD-side invocation
+    base: dict
+    #: shard index -> its ``dist_map`` parameters
+    map_params: dict
+    #: node -> position in the candidate list (every tie-break)
+    rank: dict
+    #: nodes whose daemons this attempt still trusts
+    alive: set
+    #: shard index -> the node that (re)runs its map
+    assignment: dict
+    manifest: AttemptManifest
+    timeout: float | None
+    track: str
+    #: the job's recovery ledger, kept across attempts
+    recovery: dict
+    timeline: dict
+    shuffle_bytes: int = 0
+    shuffle_transfers: int = 0
 
 
 class DistributedEngine:
@@ -383,12 +424,6 @@ class DistributedEngine:
         self.full_restarts = 0
         #: in-attempt partial restarts (manifest-driven recovery passes)
         self.partial_restarts = 0
-        #: exchange transfers skipped because their copy already landed
-        self.dedup_transfers = 0
-        #: speculative duplicates launched / won / cancelled
-        self.spec_launched = 0
-        self.spec_won = 0
-        self.spec_cancelled = 0
         self._seq = itertools.count(1)
 
     @property
@@ -413,16 +448,18 @@ class DistributedEngine:
         """
         return self.sim.spawn(self._run(job, nodes, timeout), name=f"dist:{job.app}")
 
-    # -- restart loop -------------------------------------------------------
+    # -- whole-job restart loop ---------------------------------------------
+
+    def _pool(self, nodes: _t.Sequence[str] | None) -> list[str]:
+        if nodes is not None:
+            return list(nodes)
+        return [n.name for n in self.cluster.sd_nodes]
 
     def _candidates(
         self, job: DistributedJob, nodes: _t.Sequence[str] | None, excluded: set
     ) -> list[str]:
-        pool = list(nodes) if nodes is not None else [
-            n.name for n in self.cluster.sd_nodes
-        ]
         out = []
-        for name in pool:
+        for name in self._pool(nodes):
             if name in excluded:
                 continue
             try:
@@ -432,26 +469,19 @@ class DistributedEngine:
             out.append(name)
         return out
 
-    def _record_failure(
-        self, recovery: dict, node: str, phase: str, cause: BaseException
-    ) -> None:
+    def _note_failure(self, recovery: dict, fail: _ShardFailure) -> None:
+        """Log a pinned failure and exclude its node (unless only an
+        artifact was bad: the node itself is fine)."""
         recovery["failures"].append(
             {
-                "node": node,
-                "phase": phase,
-                "cause": type(cause).__name__,
-                "attempt": recovery.get("attempt", 0),
+                "node": fail.node,
+                "phase": fail.phase,
+                "cause": type(fail.cause).__name__,
+                "attempt": recovery["attempt"],
                 "at": round(self.sim.now, 6),
             }
         )
-        self.sim.obs.count(f"dist.fail.{phase}")
-
-    def _note_failure(self, recovery: dict, fail: _ShardFailure) -> None:
-        """Record a shard failure once: the breakdown log + exclusion sets."""
-        if fail.noted:
-            return
-        fail.noted = True
-        self._record_failure(recovery, fail.node, fail.phase, fail.cause)
+        self.sim.obs.count(f"dist.fail.{fail.phase}")
         if not isinstance(fail.cause, ShuffleArtifactError):
             recovery["excluded"].add(fail.node)
             if isinstance(fail.cause, OffloadTimeoutError):
@@ -477,9 +507,7 @@ class DistributedEngine:
             "attempt": 0,
             "partial_restarts": 0,
             "dedup_transfers": 0,
-            "spec_launched": 0,
-            "spec_won": 0,
-            "spec_cancelled": 0,
+            "speculation": {"launched": 0, "won": 0, "cancelled": 0},
         }
         with obs.span(
             "dist.job", cat="dist", track=track, force=True,
@@ -495,19 +523,13 @@ class DistributedEngine:
                     result = yield from self._attempt(
                         job, cand, job_id, timeout, track, recovery
                     )
-                except _ShardFailure as fail:
-                    if not is_retryable(fail.cause):
-                        raise fail.cause
-                    self._note_failure(recovery, fail)
-                    last = fail.cause
-                    self.full_restarts += 1
-                    obs.count("dist.restart.full")
-                    obs.count("dist.restarts")
-                    continue
                 except Exception as exc:
-                    if not is_retryable(exc):
-                        raise
-                    last = exc
+                    fail = exc if isinstance(exc, _ShardFailure) else None
+                    last = fail.cause if fail else exc
+                    if not is_retryable(last):
+                        raise last
+                    if fail:
+                        self._note_failure(recovery, fail)
                     self.full_restarts += 1
                     obs.count("dist.restart.full")
                     obs.count("dist.restarts")
@@ -519,11 +541,7 @@ class DistributedEngine:
                     "partial_restarts": recovery["partial_restarts"],
                     "full_restarts": attempt,
                     "dedup_transfers": recovery["dedup_transfers"],
-                    "speculation": {
-                        "launched": recovery["spec_launched"],
-                        "won": recovery["spec_won"],
-                        "cancelled": recovery["spec_cancelled"],
-                    },
+                    "speculation": dict(recovery["speculation"]),
                     "failures": list(recovery["failures"]),
                 }
                 root.set(
@@ -556,13 +574,10 @@ class DistributedEngine:
         Host-driven VFS teardown, so it works even on nodes whose daemons
         are dead or excluded — exactly the nodes that leak directories.
         """
-        pool = list(nodes) if nodes is not None else [
-            n.name for n in self.cluster.sd_nodes
-        ]
         cleaned = 0
         for attempt in range(final_attempt):
             stale = f"/export/shuffle/{job.app}-{seq}a{attempt}"
-            for name in pool:
+            for name in self._pool(nodes):
                 try:
                     vfs = self.cluster.node(name).fs.vfs
                 except Exception:
@@ -573,7 +588,7 @@ class DistributedEngine:
         if cleaned:
             self.sim.obs.count("dist.shuffle.cleaned", cleaned)
 
-    # -- one attempt --------------------------------------------------------
+    # -- one attempt: recovery passes over a manifest -----------------------
 
     def _attempt(
         self,
@@ -587,10 +602,10 @@ class DistributedEngine:
         """One attempt = a fixpoint loop of recovery passes over a manifest.
 
         Each pass runs exactly the work whose artifacts are missing; a
-        failed shard invalidates what it held, reassigns to survivors,
-        and loops.  The pass budget bounds pathological schedules — when
-        it is exhausted (or no survivors remain) the attempt escalates to
-        the whole-job restart loop in :meth:`_run`.
+        pinned failure invalidates what it took down, reassigns to
+        survivors, and loops.  The pass budget bounds pathological
+        schedules — when it is exhausted (or no survivors remain) the
+        attempt escalates to the whole-job restart loop in :meth:`_run`.
         """
         sim, cluster = self.sim, self.cluster
         obs = sim.obs
@@ -604,13 +619,6 @@ class DistributedEngine:
             sp.set(shards=len(plan.shards), partitions=plan.n_partitions, kind=plan.kind)
         obs.count("dist.shards", len(plan.shards))
         shuffle_dir = f"/export/shuffle/{job_id}"
-        rank = {name: i for i, name in enumerate(cand)}
-        timeline: dict[str, float] = {"started": sim.now}
-        acc = {"bytes": 0, "transfers": 0}
-        alive = set(cand)
-        assignment = {s.index: s.node for s in plan.shards}
-        manifest = AttemptManifest()
-
         base = {
             "job_id": job_id,
             "app": job.app,
@@ -624,374 +632,130 @@ class DistributedEngine:
             "total_fragments": plan.n_fragments,
             "shuffle_dir": shuffle_dir,
         }
-        params_by_shard = {
-            s.index: dict(
-                base,
-                shard_index=s.index,
-                shard_size=s.size,
-                fragments=[[f.size, f.p0, f.p1, f.index] for f in s.fragments],
-            )
-            for s in plan.shards
-        }
-
+        st = _Attempt(
+            job=job,
+            plan=plan,
+            shuffle_dir=shuffle_dir,
+            base=base,
+            map_params={
+                s.index: dict(
+                    base,
+                    shard_index=s.index,
+                    shard_size=s.size,
+                    fragments=[[f.size, f.p0, f.p1, f.index] for f in s.fragments],
+                )
+                for s in plan.shards
+            },
+            rank={name: i for i, name in enumerate(cand)},
+            alive=set(cand),
+            assignment={s.index: s.node for s in plan.shards},
+            manifest=AttemptManifest(),
+            timeout=timeout,
+            track=track,
+            recovery=recovery,
+            timeline={"started": sim.now},
+        )
         rebuilds = 0
         max_passes = len(cand) + self.max_rebuilds + 2
-        for pass_no in itertools.count():
-            if pass_no >= max_passes:
-                raise mark_retryable(
-                    OffloadError(
-                        f"distributed job {job.app!r}: partial recovery "
-                        f"exceeded {max_passes} passes in attempt {job_id!r}"
-                    )
-                )
+        for _ in range(max_passes):
             try:
-                return (
-                    yield from self._attempt_pass(
-                        job, plan, shuffle_dir, base, params_by_shard,
-                        alive, assignment, manifest, rank, timeout, track,
-                        timeline, acc, recovery,
-                    )
-                )
+                return (yield from self._pass(st))
             except _ShardFailure as fail:
-                if not self.partial_restart or not is_retryable(fail.cause):
-                    raise
-                self._note_failure(recovery, fail)
-                if isinstance(fail.cause, ShuffleArtifactError):
+                artifact = isinstance(fail.cause, ShuffleArtifactError)
+                if artifact:
                     rebuilds += 1
-                    if rebuilds > self.max_rebuilds:
-                        raise  # escalate: this attempt cannot converge
-                    manifest.invalidate_artifact(fail.cause)
+                if (
+                    not self.partial_restart
+                    or not is_retryable(fail.cause)
+                    or rebuilds > self.max_rebuilds
+                    or not (artifact or st.alive - {fail.node})
+                ):
+                    raise  # the whole-job restart loop decides
+                self._note_failure(recovery, fail)
+                if artifact:
+                    st.manifest.invalidate_artifact(fail.cause)
                 else:
-                    alive.discard(fail.node)
-                    if not alive:
-                        raise  # no survivors: whole-job restart decides
-                    manifest.invalidate_node(fail.node)
-                    self._reassign(assignment, alive, rank)
+                    st.alive.discard(fail.node)
+                    st.manifest.invalidate_node(fail.node)
+                    self._reassign(st)
                 recovery["partial_restarts"] += 1
                 self.partial_restarts += 1
                 obs.count("dist.restart.partial")
+        raise mark_retryable(
+            OffloadError(
+                f"distributed job {job.app!r}: partial recovery "
+                f"exceeded {max_passes} passes in attempt {job_id!r}"
+            )
+        )
 
-    def _reassign(self, assignment: dict, alive: set, rank: dict) -> None:
+    def _reassign(self, st: _Attempt) -> None:
         """Move dead nodes' shards to the least-loaded survivors."""
-        load = {name: 0 for name in alive}
-        for node in assignment.values():
+        load = {name: 0 for name in st.alive}
+        for node in st.assignment.values():
             if node in load:
                 load[node] += 1
-        for i in sorted(assignment):
-            if assignment[i] in alive:
-                continue
-            target = min(load, key=lambda nm: (load[nm], rank[nm]))
-            assignment[i] = target
-            load[target] += 1
+        for i in sorted(st.assignment):
+            if st.assignment[i] not in st.alive:
+                target = min(load, key=lambda nm: (load[nm], st.rank[nm]))
+                st.assignment[i] = target
+                load[target] += 1
 
-    # -- one recovery pass --------------------------------------------------
-
-    def _attempt_pass(
-        self,
-        job: DistributedJob,
-        plan: DistPlan,
-        shuffle_dir: str,
-        base: dict,
-        params_by_shard: dict,
-        alive: set,
-        assignment: dict,
-        manifest: AttemptManifest,
-        rank: dict,
-        timeout: float | None,
-        track: str,
-        timeline: dict,
-        acc: dict,
-        recovery: dict,
-    ) -> _t.Generator:
-        sim = self.sim
-        obs = sim.obs
-
-        # ---- map: only the shards whose artifacts are missing
-        todo = [s.index for s in plan.shards if s.index not in manifest.maps]
+    def _pass(self, st: _Attempt) -> _t.Generator:
+        """One recovery pass: map, exchange, reduce, gather, merge — each
+        step doing only the work whose artifacts the manifest lacks."""
+        m = st.manifest
+        todo = [s.index for s in st.plan.shards if s.index not in m.maps]
         if todo:
-            with obs.span("dist.map", cat="dist", track=track, force=True) as sp:
-                yield from self._map_phase(
-                    todo, params_by_shard, alive, assignment, manifest, rank,
-                    timeout, recovery,
+            yield from self._map_step(st, todo)
+        st.timeline.setdefault("map_done", self.sim.now)
+        if st.plan.exchange:
+            reduce_nodes, inputs = yield from self._exchange_step(st)
+            yield from self._reduce_step(st, reduce_nodes, inputs)
+            pieces = [
+                _Piece(
+                    info["node"], info["path"], int(info["bytes"]), p, ("p", p),
+                    f"{st.shuffle_dir}/final/p{p}", {"partition": p},
                 )
-                sp.set(shards=len(todo))
-            timeline["map_done"] = sim.now
-        timeline.setdefault("map_done", sim.now)
-
-        reduce_nodes: dict[int, str] = {}
-        parts_for_merge: list[dict] = []
-        if plan.exchange:
-            # ---- exchange: route each partition to its max-bytes owner,
-            # skipping partitions already reduced and copies already received
-            by_part: dict[int, dict[int, dict]] = {
-                p: {} for p in range(plan.n_partitions)
-            }
-            for i, art in manifest.maps.items():
-                for p, info in art.partitions.items():
-                    by_part[int(p)][i] = info
-            with obs.span(
-                "shuffle.exchange", cat="dist", track=track, force=True
-            ) as sp:
-                transfers = []
-                deduped = 0
-                for p in range(plan.n_partitions):
-                    srcs = by_part[p]
-                    if not srcs:
-                        continue
-                    already = manifest.reduced.get(p)
-                    if already is not None:
-                        reduce_nodes[p] = already["node"]
-                        continue
-                    per_node: dict[str, int] = {}
-                    for i, info in srcs.items():
-                        nm = manifest.maps[i].node
-                        per_node[nm] = per_node.get(nm, 0) + int(info["bytes"])
-                    # the owner runs dist_reduce, so it needs a live daemon;
-                    # dead nodes still count as transfer *sources* (their
-                    # disks stay host-readable)
-                    live = {nm: b for nm, b in per_node.items() if nm in alive}
-                    if live:
-                        owner = max(live, key=lambda nm: (live[nm], -rank[nm]))
-                    else:
-                        owner = min(alive, key=lambda nm: rank[nm])
-                    reduce_nodes[p] = owner
-                    for i in sorted(srcs):
-                        info = srcs[i]
-                        if manifest.maps[i].node == owner:
-                            continue
-                        key = (owner, i, p)
-                        dst = f"{shuffle_dir}/rx/p{p}.s{i}"
-                        if key in manifest.received:
-                            deduped += 1
-                            continue
-                        transfers.append(
-                            (
-                                manifest.maps[i].node,
-                                owner,
-                                info["path"],
-                                dst,
-                                max(1, int(info["bytes"])),
-                                p,
-                                key,
-                            )
-                        )
-                moved = yield from self._run_transfers([t[:6] for t in transfers])
-                for t in transfers:
-                    manifest.received[t[6]] = t[3]
-                if deduped:
-                    self.dedup_transfers += deduped
-                    recovery["dedup_transfers"] += deduped
-                    obs.count("dist.transfer.dedup", deduped)
-                acc["bytes"] += moved
-                acc["transfers"] += len(transfers)
-                obs.count("shuffle.partitions", len(reduce_nodes))
-                sp.set(
-                    bytes=moved, transfers=len(transfers),
-                    partitions=len(reduce_nodes), deduped=deduped,
-                )
-            timeline["exchange_done"] = sim.now
-
-            # ---- reduce: each owner reduces its still-missing partitions
-            by_owner: dict[str, list[int]] = {}
-            for p, owner in sorted(reduce_nodes.items()):
-                if p not in manifest.reduced:
-                    by_owner.setdefault(owner, []).append(p)
-            total_entries = sum(a.entries for a in manifest.maps.values())
-            with obs.span("dist.reduce", cat="dist", track=track, force=True) as sp:
-                procs = []
-                for owner, parts in by_owner.items():
-                    pspecs = []
-                    for p in parts:
-                        sources = []
-                        for i in sorted(by_part[p]):
-                            info = by_part[p][i]
-                            path = (
-                                info["path"]
-                                if manifest.maps[i].node == owner
-                                else f"{shuffle_dir}/rx/p{p}.s{i}"
-                            )
-                            sources.append(
-                                {
-                                    "path": path,
-                                    "bytes": int(info["bytes"]),
-                                    "entries": int(info["entries"]),
-                                    "shard": i,
-                                    "partition": p,
-                                }
-                            )
-                        pspecs.append({"index": p, "sources": sources})
-                    params = dict(base, partitions=pspecs, total_entries=total_entries)
-                    procs.append(
-                        sim.spawn(
-                            self._invoke_on(
-                                owner, "dist_reduce", params, timeout, "reduce"
-                            ),
-                            name=f"dist-reduce:{owner}",
-                        )
-                    )
-                if procs:
-                    gathered = yield sim.all_of(procs)
-                    failure: _ShardFailure | None = None
-                    # register every success before raising, so the failed
-                    # owner's partitions are the only ones re-reduced
-                    for proc in procs:
-                        node_name, ok, value = gathered[proc]
-                        if ok:
-                            for p, info in (value.get("partitions") or {}).items():
-                                manifest.reduced[int(p)] = dict(info, node=node_name)
-                        elif failure is None:
-                            failure = _ShardFailure(node_name, value, phase="reduce")
-                    if failure is not None:
-                        raise failure
-                sp.set(partitions=len(manifest.reduced), owners=len(by_owner))
-            timeline["reduce_done"] = sim.now
-
-            # ---- merge placement: the owner holding the most reduced bytes
-            reduced = manifest.reduced
-            if reduced:
-                local: dict[str, int] = {}
-                for info in reduced.values():
-                    local[info["node"]] = local.get(info["node"], 0) + int(info["bytes"])
-                merge_node = max(local, key=lambda nm: (local[nm], -rank[nm]))
-            else:
-                merge_node = min(alive, key=lambda nm: rank[nm])
-            gather = []
-            for p in sorted(reduced):
-                info = reduced[p]
-                if info["node"] == merge_node:
-                    parts_for_merge.append(
-                        {"path": info["path"], "bytes": int(info["bytes"]),
-                         "partition": p}
-                    )
-                else:
-                    dst = f"{shuffle_dir}/final/p{p}"
-                    key = (merge_node, "p", p)
-                    if key not in manifest.gathered:
-                        gather.append(
-                            (
-                                info["node"],
-                                merge_node,
-                                info["path"],
-                                dst,
-                                max(1, int(info["bytes"])),
-                                p,
-                                key,
-                            )
-                        )
-                    parts_for_merge.append(
-                        {"path": dst, "bytes": int(info["bytes"]), "partition": p}
-                    )
-            if gather:
-                with obs.span(
-                    "shuffle.gather", cat="dist", track=track, force=True
-                ) as sp:
-                    moved = yield from self._run_transfers([t[:6] for t in gather])
-                    for t in gather:
-                        manifest.gathered[t[6]] = t[3]
-                    acc["bytes"] += moved
-                    acc["transfers"] += len(gather)
-                    sp.set(bytes=moved, transfers=len(gather))
+                for p, info in sorted(m.reduced.items())
+            ]
         else:
-            # ---- map-only: gather fragment outputs in global order at the
-            # node already holding the most output bytes (minimum transfer)
-            all_parts = []
-            for i, art in manifest.maps.items():
+            reduce_nodes = {}
+            pieces = []
+            for i, art in m.maps.items():
                 for part in art.parts:
-                    all_parts.append(
-                        (int(part["index"]), art.node, part["path"],
-                         int(part["bytes"]), i)
-                    )
-            all_parts.sort()
-            local = {}
-            for _, nm, _, nbytes, _ in all_parts:
-                if nm in alive:  # dist_merge needs a live daemon
-                    local[nm] = local.get(nm, 0) + nbytes
-            merge_node = (
-                max(local, key=lambda nm: (local[nm], -rank[nm]))
-                if local
-                else min(alive, key=lambda nm: rank[nm])
-            )
-            transfers = []
-            deduped = 0
-            for gi, nm, path, nbytes, i in all_parts:
-                if nm == merge_node:
-                    parts_for_merge.append({"path": path, "bytes": nbytes, "shard": i})
-                else:
-                    dst = f"{shuffle_dir}/final/part{gi}"
-                    key = (merge_node, "part", gi)
-                    if key in manifest.gathered:
-                        deduped += 1
-                    else:
-                        transfers.append(
-                            (nm, merge_node, path, dst, max(1, nbytes), gi, key)
-                        )
-                    parts_for_merge.append({"path": dst, "bytes": nbytes, "shard": i})
-            with obs.span(
-                "shuffle.exchange", cat="dist", track=track, force=True
-            ) as sp:
-                moved = yield from self._run_transfers([t[:6] for t in transfers])
-                for t in transfers:
-                    manifest.gathered[t[6]] = t[3]
-                if deduped:
-                    self.dedup_transfers += deduped
-                    recovery["dedup_transfers"] += deduped
-                    obs.count("dist.transfer.dedup", deduped)
-                acc["bytes"] += moved
-                acc["transfers"] += len(transfers)
-                sp.set(bytes=moved, transfers=len(transfers), partitions=0)
-            timeline["exchange_done"] = sim.now
-            timeline["reduce_done"] = sim.now
-
-        # ---- final merge at the minimum-transfer node
-        with obs.span(
-            "dist.merge", cat="dist", track=track, force=True, node=merge_node
-        ):
-            params = dict(base, parts=parts_for_merge)
-            node_name, ok, value = yield sim.spawn(
-                self._invoke_on(merge_node, "dist_merge", params, timeout, "merge"),
-                name=f"dist-merge:{merge_node}",
-            )
-            if not ok:
-                raise _ShardFailure(node_name, value, phase="merge")
-        timeline["merge_done"] = sim.now
-
+                    gi = int(part["index"])
+                    pieces.append(_Piece(
+                        art.node, part["path"], int(part["bytes"]), gi, ("part", gi),
+                        f"{st.shuffle_dir}/final/part{gi}", {"shard": i},
+                    ))
+            pieces.sort(key=lambda pc: pc.wire)  # global fragment order
+        merge_node, parts = yield from self._gather_step(st, pieces)
+        output = yield from self._merge_step(st, merge_node, parts)
         return DistributedResult(
-            app=job.app,
-            output=value.get("output"),
-            elapsed=sim.now - timeline["started"],
-            n_shards=len(plan.shards),
+            app=st.job.app,
+            output=output,
+            elapsed=self.sim.now - st.timeline["started"],
+            n_shards=len(st.plan.shards),
             # where each shard's committed map artifact actually lives — a
             # dead mapper whose artifact was reused still shows up here
             shard_nodes=[
-                manifest.maps[s.index].node
-                if s.index in manifest.maps
-                else assignment[s.index]
-                for s in plan.shards
+                m.maps[s.index].node if s.index in m.maps else st.assignment[s.index]
+                for s in st.plan.shards
             ],
             reduce_nodes=reduce_nodes,
             merge_node=merge_node,
-            n_partitions=plan.n_partitions,
-            shuffle_bytes=acc["bytes"],
-            shuffle_transfers=acc["transfers"],
+            n_partitions=st.plan.n_partitions,
+            shuffle_bytes=st.shuffle_bytes,
+            shuffle_transfers=st.shuffle_transfers,
             attempts=1,
-            timeline=timeline,
-            plan=plan,
+            timeline=st.timeline,
+            plan=st.plan,
         )
 
-    # -- map phase with speculation -----------------------------------------
+    # -- the phase steps ----------------------------------------------------
 
-    def _map_phase(
-        self,
-        todo: list,
-        params_by_shard: dict,
-        alive: set,
-        assignment: dict,
-        manifest: AttemptManifest,
-        rank: dict,
-        timeout: float | None,
-        recovery: dict,
-    ) -> _t.Generator:
-        """Run ``todo`` map shards, speculating duplicates of stragglers.
+    def _map_step(self, st: _Attempt, todo: list) -> _t.Generator:
+        """Run the ``todo`` map shards, speculating duplicates of stragglers.
 
         First result per shard wins and is committed to the manifest; the
         losing duplicate is interrupted — safe, because an interrupted
@@ -1002,217 +766,338 @@ class DistributedEngine:
         sim = self.sim
         obs = sim.obs
         pol = self.speculation
+        ledger = st.recovery["speculation"]
         pending: dict = {}  # proc -> (shard_index, node, is_spec)
         start: dict[int, float] = {}
-        for i in todo:
-            node = assignment[i]
-            proc = sim.spawn(
-                self._invoke_on(node, "dist_map", params_by_shard[i], timeout, "map"),
-                name=f"dist-map:{node}",
-            )
-            pending[proc] = (i, node, False)
-            start[i] = sim.now
         durations: list[float] = []
         resolved: set[int] = set()
         speculated: set[int] = set()
-        min_done = (
-            pol.min_done if pol.min_done is not None else max(1, (len(todo) + 1) // 2)
-        )
+        # wait for a majority of the phase so the threshold has signal
+        min_done = max(1, (len(todo) + 1) // 2)
+        with obs.span("dist.map", cat="dist", track=st.track, force=True) as sp:
+            for i in todo:
+                self._launch_map(st, pending, i, st.assignment[i])
+                start[i] = sim.now
+            while pending:
+                timer = []
+                if pol.enabled and len(durations) >= min_done:
+                    threshold = pol.threshold(durations)
+                    self._speculate(st, pending, start, speculated, threshold)
+                    # wake when the next unspeculated primary crosses the
+                    # cutoff; overdue ones with no spare wait for a completion
+                    due = [
+                        start[i] + threshold - sim.now
+                        for (i, _node, is_spec) in pending.values()
+                        if not is_spec and i not in speculated
+                    ]
+                    due = [d for d in due if d > 0]
+                    if due:
+                        timer = [sim.timeout(min(due))]
+                waits = list(pending)
+                yield sim.any_of(waits + timer)
 
-        while pending:
-            threshold = None
-            if pol.enabled and len(durations) >= min_done:
-                threshold = pol.threshold(
-                    durations,
-                    histogram=obs.metrics.histograms.get("dist.latency.map"),
-                )
-            if threshold is not None:
-                self._launch_speculation(
-                    pending, start, speculated, threshold, alive, rank,
-                    params_by_shard, timeout, recovery,
-                )
-            waits = list(pending)
-            delay = self._next_straggler_check(pending, start, speculated, threshold)
-            if delay is not None:
-                yield sim.any_of(waits + [sim.timeout(delay)])
-            else:
-                yield sim.any_of(waits)
-
-            abort: _ShardFailure | None = None
-            for proc in [p for p in waits if p.triggered]:
-                i, node, is_spec = pending.pop(proc)
-                if not proc.ok:
-                    continue  # a cancelled duplicate unwinding
-                node_name, ok, value = proc.value
-                if i in resolved:
-                    continue  # late duplicate: winner already committed
-                if ok:
-                    resolved.add(i)
-                    dur = sim.now - start[i]
-                    durations.append(dur)
-                    obs.observe("dist.latency.map", dur)
-                    if is_spec:
-                        self.spec_won += 1
-                        recovery["spec_won"] += 1
-                        obs.count("spec.won")
-                    assignment[i] = node_name
-                    manifest.register_map(i, node_name, value)
-                    # cancel the losing copy still in flight
-                    for other, (oi, _onode, _ospec) in list(pending.items()):
-                        if oi != i:
-                            continue
-                        del pending[other]
+                abort: _ShardFailure | None = None
+                for proc in [p for p in waits if p.triggered]:
+                    i, node, is_spec = pending.pop(proc)
+                    if not proc.ok:
+                        continue  # a cancelled duplicate unwinding
+                    if i in resolved:
+                        continue  # late duplicate: winner already committed
+                    ok, value = proc.value
+                    if ok:
+                        resolved.add(i)
+                        dur = sim.now - start[i]
+                        durations.append(dur)
+                        obs.observe("dist.latency.map", dur)
+                        if is_spec:
+                            ledger["won"] += 1
+                            obs.count("spec.won")
+                        st.assignment[i] = node
+                        st.manifest.register_map(i, node, value)
+                        # cancel the losing copy still in flight
+                        for other, (oi, _onode, _ospec) in list(pending.items()):
+                            if oi != i:
+                                continue
+                            del pending[other]
+                            if not other.triggered:
+                                other.interrupt("speculation resolved")
+                            ledger["cancelled"] += 1
+                            obs.count("spec.cancelled")
+                    elif (
+                        not isinstance(value, InterruptError)  # our own cancel
+                        and abort is None
+                        and not any(oi == i for (oi, _, _) in pending.values())
+                    ):
+                        abort = _ShardFailure(node, value, "map")
+                if abort is not None:
+                    # stop the phase; unfinished shards stay unregistered and
+                    # re-run on the next recovery pass
+                    for other in pending:
                         if not other.triggered:
-                            other.interrupt("speculation resolved")
-                        self.spec_cancelled += 1
-                        recovery["spec_cancelled"] += 1
-                        obs.count("spec.cancelled")
-                else:
-                    if isinstance(value, InterruptError):
-                        continue  # our own cancellation, not a verdict
-                    sibling = any(oi == i for (oi, _, _) in pending.values())
-                    if not sibling and abort is None:
-                        abort = _ShardFailure(node_name, value, phase="map")
-            if abort is not None:
-                # stop the phase; unfinished shards stay unregistered and
-                # re-run on the next recovery pass
-                for other in list(pending):
-                    if not other.triggered:
-                        other.interrupt("map phase aborted")
-                pending.clear()
-                raise abort
+                            other.interrupt("map phase aborted")
+                    pending.clear()
+                    raise abort
+            sp.set(shards=len(todo))
+        st.timeline["map_done"] = sim.now
 
-    def _launch_speculation(
-        self,
-        pending: dict,
-        start: dict,
-        speculated: set,
-        threshold: float,
-        alive: set,
-        rank: dict,
-        params_by_shard: dict,
-        timeout: float | None,
-        recovery: dict,
+    def _launch_map(
+        self, st: _Attempt, pending: dict, i: int, node: str, spec: bool = False
     ) -> None:
-        sim = self.sim
-        obs = sim.obs
+        proc = self.sim.spawn(
+            self._invoke_on(st, node, "dist_map", st.map_params[i], "map"),
+            name=f"dist-map-spec:{node}" if spec else f"dist-map:{node}",
+        )
+        pending[proc] = (i, node, spec)
+
+    def _speculate(
+        self, st: _Attempt, pending: dict, start: dict, speculated: set,
+        threshold: float,
+    ) -> None:
+        """Duplicate each overdue primary onto the lowest-rank idle survivor."""
+        now = self.sim.now
         busy = {node for (_, node, _) in pending.values()}
         overdue = sorted(
             (
-                (i, node)
-                for (i, node, is_spec) in pending.values()
+                i
+                for (i, _node, is_spec) in pending.values()
                 if not is_spec
                 and i not in speculated
                 # inclusive: the straggler-check timer fires at exactly
                 # start + threshold, and that firing must launch
-                and sim.now - start[i] >= threshold
+                and now - start[i] >= threshold
             ),
-            key=lambda t: start[t[0]],
+            key=start.__getitem__,
         )
-        for i, node in overdue:
-            spares = sorted(
-                (nm for nm in alive if nm not in busy and nm != node),
-                key=lambda nm: rank[nm],
-            )
+        for i in overdue:
+            spares = [nm for nm in st.alive if nm not in busy]
             if not spares:
                 return
-            spare = spares[0]
-            proc = sim.spawn(
-                self._invoke_on(spare, "dist_map", params_by_shard[i], timeout, "map"),
-                name=f"dist-map-spec:{spare}",
-            )
-            pending[proc] = (i, spare, True)
+            spare = min(spares, key=st.rank.__getitem__)
+            self._launch_map(st, pending, i, spare, spec=True)
             speculated.add(i)
             busy.add(spare)
-            self.spec_launched += 1
-            recovery["spec_launched"] += 1
-            obs.count("spec.launched")
+            st.recovery["speculation"]["launched"] += 1
+            self.sim.obs.count("spec.launched")
 
-    def _next_straggler_check(
-        self, pending: dict, start: dict, speculated: set, threshold: float | None
-    ) -> float | None:
-        """Sim-time until the next unspeculated primary crosses the cutoff."""
-        if threshold is None:
-            return None
-        now = self.sim.now
-        waits = [
-            start[i] + threshold - now
-            for (i, _node, is_spec) in pending.values()
-            if not is_spec and i not in speculated
-        ]
-        # overdue-but-unspeculated shards (no spare) wait for a completion
-        waits = [w for w in waits if w > 0]
-        return min(waits) if waits else None
+    def _exchange_step(self, st: _Attempt) -> _t.Generator:
+        """Route each partition to its owner and ship the buckets it lacks.
+
+        Returns ``(reduce_nodes, inputs)``: the owner of every partition,
+        and the reduce input specs of the partitions not yet reduced.
+        """
+        m = st.manifest
+        by_part: dict[int, list] = {p: [] for p in range(st.plan.n_partitions)}
+        for i, art in sorted(m.maps.items()):
+            for p, info in art.partitions.items():
+                by_part[p].append(
+                    _Piece(
+                        art.node, info["path"], int(info["bytes"]), p, (i, p),
+                        f"{st.shuffle_dir}/rx/p{p}.s{i}",
+                        {"entries": int(info["entries"]), "shard": i, "partition": p},
+                    )
+                )
+        reduce_nodes: dict[int, str] = {}
+        moves = []
+        for p, pieces in by_part.items():
+            if not pieces:
+                continue
+            if p in m.reduced:
+                reduce_nodes[p] = m.reduced[p]["node"]
+                continue
+            reduce_nodes[p] = owner = self._owner(st, pieces)
+            moves += [(pc, owner) for pc in pieces]
+        specs = yield from self._move(
+            st, moves, m.received, "shuffle.exchange", partitions=len(reduce_nodes)
+        )
+        self.sim.obs.count("shuffle.partitions", len(reduce_nodes))
+        st.timeline["exchange_done"] = self.sim.now
+        inputs: dict[int, list] = {}
+        for (pc, _owner), spec in zip(moves, specs):
+            inputs.setdefault(pc.wire, []).append(spec)
+        return reduce_nodes, inputs
+
+    def _reduce_step(
+        self, st: _Attempt, reduce_nodes: dict, inputs: dict
+    ) -> _t.Generator:
+        """Each owner reduces its partitions that are not yet reduced."""
+        sim = self.sim
+        m = st.manifest
+        by_owner: dict[str, list] = {}
+        for p in sorted(inputs):
+            by_owner.setdefault(reduce_nodes[p], []).append(
+                {"index": p, "sources": inputs[p]}
+            )
+        total_entries = sum(a.entries for a in m.maps.values())
+        with sim.obs.span("dist.reduce", cat="dist", track=st.track, force=True) as sp:
+            procs = {
+                owner: sim.spawn(
+                    self._invoke_on(
+                        st, owner, "dist_reduce",
+                        dict(st.base, partitions=pspecs, total_entries=total_entries),
+                        "reduce",
+                    ),
+                    name=f"dist-reduce:{owner}",
+                )
+                for owner, pspecs in by_owner.items()
+            }
+            if procs:
+                gathered = yield sim.all_of(list(procs.values()))
+                failure: _ShardFailure | None = None
+                for owner, proc in procs.items():
+                    ok, value = gathered[proc]
+                    if ok:
+                        for p, info in (value.get("partitions") or {}).items():
+                            m.reduced[int(p)] = dict(info, node=owner)
+                    elif failure is None:
+                        failure = _ShardFailure(owner, value, "reduce")
+                if failure is not None:
+                    raise failure
+            sp.set(partitions=len(m.reduced), owners=len(by_owner))
+        st.timeline["reduce_done"] = sim.now
+
+    def _gather_step(self, st: _Attempt, pieces: list) -> _t.Generator:
+        """Bring the merge inputs to their owner; returns (node, parts).
+
+        For a map-only job this is the exchange phase itself: its span is
+        ``shuffle.exchange`` and it closes the exchange and reduce marks.
+        """
+        merge_node = self._owner(st, pieces)
+        moves = [(pc, merge_node) for pc in pieces]
+        landed = st.manifest.gathered
+        if st.plan.exchange:
+            parts = yield from self._move(
+                st, moves, landed, "shuffle.gather", idle=False
+            )
+        else:
+            parts = yield from self._move(
+                st, moves, landed, "shuffle.exchange", partitions=0
+            )
+            st.timeline["exchange_done"] = st.timeline["reduce_done"] = self.sim.now
+        return merge_node, parts
+
+    def _merge_step(self, st: _Attempt, node: str, parts: list) -> _t.Generator:
+        """Apply the user merge at ``node``; returns the final output."""
+        sim = self.sim
+        with sim.obs.span(
+            "dist.merge", cat="dist", track=st.track, force=True, node=node
+        ):
+            ok, value = yield sim.spawn(
+                self._invoke_on(
+                    st, node, "dist_merge", dict(st.base, parts=parts), "merge"
+                ),
+                name=f"dist-merge:{node}",
+            )
+            if not ok:
+                raise _ShardFailure(node, value, "merge")
+        st.timeline["merge_done"] = sim.now
+        return value.get("output")
+
+    # -- the owner rule and the move step -----------------------------------
+
+    @staticmethod
+    def _owner(st: _Attempt, pieces: list) -> str:
+        """The one owner rule: the live node holding the most bytes of
+        ``pieces`` (ties to the lower rank), else the lowest-rank survivor.
+
+        The owner runs an SD module, so it needs a live daemon; dead nodes
+        still serve as transfer sources (their disks stay host-readable).
+        """
+        held: dict[str, int] = {}
+        for pc in pieces:
+            if pc.node in st.alive:
+                held[pc.node] = held.get(pc.node, 0) + pc.nbytes
+        if held:
+            return max(held, key=lambda nm: (held[nm], -st.rank[nm]))
+        return min(st.alive, key=st.rank.__getitem__)
+
+    def _move(
+        self, st: _Attempt, moves: list, landed: dict, span: str,
+        idle: bool = True, **attrs,
+    ) -> _t.Generator:
+        """The one move step: bring each ``(piece, owner)`` to its owner.
+
+        A piece already on its owner is read in place; a copy ``landed``
+        already holds under ``(owner, *piece.id)`` is skipped and counted
+        in ``dist.transfer.dedup``; the rest cross the fabric concurrently
+        and each copy that lands is committed to ``landed``.  ``idle``
+        opens the span even when nothing moves.  Returns every piece's
+        input spec on its owner, in order.  A transfer that exhausted its
+        in-place retries raises its cause: that escalates to the whole-job
+        restart.
+        """
+        sim = self.sim
+        obs = sim.obs
+        specs, legs, deduped = [], [], 0
+        for pc, owner in moves:
+            local = pc.node == owner
+            path = pc.path if local else pc.dst
+            specs.append({"path": path, "bytes": pc.nbytes, **pc.meta})
+            if local:
+                continue
+            key = (owner, *pc.id)
+            if key in landed:
+                deduped += 1
+            else:
+                legs.append((pc, owner, key))
+        if legs or idle:
+            with obs.span(span, cat="dist", track=st.track, force=True) as sp:
+                procs = [
+                    sim.spawn(
+                        self._transfer(pc, owner), name=f"shuffle:{pc.node}->{owner}"
+                    )
+                    for pc, owner, _key in legs
+                ]
+                moved = 0
+                failure: BaseException | None = None
+                if procs:
+                    gathered = yield sim.all_of(procs)
+                    for proc, (pc, _owner, key) in zip(procs, legs):
+                        ok, value = gathered[proc]
+                        if ok:
+                            moved += value
+                            landed[key] = pc.dst
+                        elif failure is None:
+                            failure = value
+                if failure is not None:
+                    raise failure
+                st.shuffle_bytes += moved
+                st.shuffle_transfers += len(legs)
+                sp.set(bytes=moved, transfers=len(legs), deduped=deduped, **attrs)
+        if deduped:
+            st.recovery["dedup_transfers"] += deduped
+            obs.count("dist.transfer.dedup", deduped)
+        return specs
 
     # -- building blocks ----------------------------------------------------
 
     def _invoke_on(
-        self, node_name: str, module: str, params: dict, timeout: float | None,
-        phase: str,
+        self, st: _Attempt, node: str, module: str, params: dict, phase: str
     ) -> _t.Generator:
-        """Invoke one SD-side module; returns (node, ok, value-or-exc)."""
+        """Invoke one SD-side module; returns ``(ok, value-or-exception)``."""
         obs = self.sim.obs
-        channel = self.cluster.host_channels.get(node_name)
+        channel = self.cluster.host_channels.get(node)
         if channel is None:
-            return (
-                node_name,
-                False,
-                OffloadError(f"no smartFAM channel to {node_name!r}"),
-            )
-        self.inflight[node_name] = self.inflight.get(node_name, 0) + 1
+            return False, OffloadError(f"no smartFAM channel to {node!r}")
+        self.inflight[node] = self.inflight.get(node, 0) + 1
         obs.count(f"dist.invoke.{phase}")
         try:
             with obs.span(
-                "dist.shard", cat="dist", track=node_name, force=True,
+                "dist.shard", cat="dist", track=node, force=True,
                 phase=phase, module=module,
             ) as sp:
                 try:
                     value = yield channel.invoke_reliable(
-                        module, params, timeout=timeout, max_retries=1
+                        module, params, timeout=st.timeout, max_retries=1
                     )
                 except Exception as exc:
                     sp.set(error=type(exc).__name__)
-                    return (node_name, False, exc)
-            return (node_name, True, value)
+                    return False, exc
+            return True, value
         finally:
-            self.inflight[node_name] -= 1
+            self.inflight[node] -= 1
 
-    def _run_transfers(self, transfers: list[tuple]) -> _t.Generator:
-        """Run exchange transfers concurrently; returns delivered bytes.
-
-        A transfer that exhausted its in-place retries raises its cause —
-        retryable causes restart the whole job at the attempt loop.
-        """
-        if not transfers:
-            return 0
-        sim = self.sim
-        procs = [
-            sim.spawn(self._transfer(*t), name=f"shuffle:{t[0]}->{t[1]}")
-            for t in transfers
-        ]
-        gathered = yield sim.all_of(procs)
-        moved = 0
-        failure: BaseException | None = None
-        for proc in procs:
-            ok, value = gathered[proc]
-            if ok:
-                moved += value
-            elif failure is None:
-                failure = value
-        if failure is not None:
-            raise failure
-        return moved
-
-    def _transfer(
-        self,
-        src: str,
-        dst: str,
-        src_path: str,
-        dst_path: str,
-        nbytes: int,
-        partition: int,
-    ) -> _t.Generator:
-        """One partition-exchange leg: SD disk read -> fabric -> SD disk write.
+    def _transfer(self, pc: _Piece, dst: str) -> _t.Generator:
+        """Move one piece to ``dst``: SD disk read -> fabric -> SD disk write.
 
         Fault site ``shuffle.exchange`` (ctx: src, dst, partition, nbytes):
         *fail*/*drop*/*corrupt* cost the attempt (bounded in-place retries),
@@ -1222,6 +1107,8 @@ class DistributedEngine:
         """
         sim = self.sim
         obs = sim.obs
+        src, src_path, dst_path = pc.node, pc.path, pc.dst
+        nbytes, partition = max(1, pc.nbytes), pc.wire
         src_node = self.cluster.node(src)
         dst_node = self.cluster.node(dst)
         last: BaseException | None = None

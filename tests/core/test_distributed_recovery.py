@@ -119,3 +119,27 @@ def test_speculation_disabled_by_policy():
     assert res.recovery["speculation"] == {
         "launched": 0, "won": 0, "cancelled": 0,
     }
+
+
+def _repeated_jobs(trace: bool) -> list:
+    bed = Testbed(config=table1_cluster(n_sd=4, seed=0), seed=0, trace=trace)
+    size = MB(20)
+    inp = text_input("/data/d", size, payload_bytes=6_000, seed=5)
+    _, sd_path = bed.stage_replicated("d", inp)
+    eng = DistributedEngine(bed.cluster)
+    out = []
+    for _ in range(4):
+        job = DistributedJob(
+            app="wordcount", input_path=sd_path, input_size=size,
+            fragment_bytes=(size + 7) // 8,
+        )
+        res = bed.run(eng.run(job, timeout=_TIMEOUT))
+        out.append((res.elapsed, res.recovery["speculation"]))
+    return out
+
+
+def test_tracing_does_not_change_the_speculation_schedule():
+    # the straggler threshold reads only this phase's completed map
+    # durations, never a histogram that exists (and accumulates across
+    # jobs) only when tracing is on
+    assert _repeated_jobs(trace=True) == _repeated_jobs(trace=False)
